@@ -130,16 +130,23 @@ def stft_inverse(spec: Spectrogram) -> TimeSignal:
     cfg = spec.config
     win = cfg.analysis_window()
     frames = np.fft.irfft(spec.data, n=cfg.window_len, axis=1)
-    n_frames = spec.n_frames
-    out_len = (n_frames - 1) * cfg.hop + cfg.window_len
-    num = np.zeros(out_len)
-    den = np.zeros(out_len)
+    n_frames, hop = spec.n_frames, cfg.hop
+    out_len = (n_frames - 1) * hop + cfg.window_len
+    n_pieces = -(-cfg.window_len // hop)
+    # output in hop-long blocks: piece j of frame t lands in block t + j
+    num = np.zeros((n_frames + n_pieces - 1, hop))
+    den = np.zeros_like(num)
     weighted = frames * win
     win_sq = win * win
-    for t in range(n_frames):
-        start = t * cfg.hop
-        num[start : start + cfg.window_len] += weighted[t]
-        den[start : start + cfg.window_len] += win_sq
+    # last piece first, so every sample sums its frames in frame order, as a
+    # frame-by-frame overlap-add does
+    for j in reversed(range(n_pieces)):
+        lo = j * hop
+        width = min(hop, cfg.window_len - lo)
+        num[j : j + n_frames, :width] += weighted[:, lo : lo + width]
+        den[j : j + n_frames, :width] += win_sq[lo : lo + width]
+    num = num.reshape(-1)[:out_len]
+    den = den.reshape(-1)[:out_len]
     return TimeSignal(num / np.maximum(den, _OLA_FLOOR), spec.sample_rate)
 
 

@@ -8,6 +8,8 @@ low-energy units do not dominate the fit.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,8 +19,20 @@ from .dsp import Spectrogram, delay_embed, delay_stack
 
 WEIGHT_FLOOR = 1e-12
 
-# bins are processed in chunks sized to keep the tap-covariance tensor below this
-_CHUNK_BYTES = 96 * 1024 * 1024
+# Bins are solved in chunks whose tap-covariance tensor (16 * frames * chunk *
+# taps**2 bytes) stays near this budget, so each worker's passes over it run
+# from cache; at least one bin per chunk, at least one chunk per worker. Every
+# bin's arithmetic is the same whatever the chunking, so outputs do not depend
+# on the budget or the worker count.
+_CHUNK_BYTES = 2 * 1024 * 1024
+
+
+def _n_workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -170,10 +184,9 @@ def wstws_cancel(
     h_all = np.empty((n_frames, n_bins, taps), dtype=np.complex128)
     degenerate = np.zeros((n_frames, n_bins), dtype=bool)
 
-    chunk = max(1, min(n_bins, _CHUNK_BYTES // (16 * n_frames * taps * taps)))
     eye = np.eye(taps)
-    for lo_bin in range(0, n_bins, chunk):
-        sl = slice(lo_bin, min(n_bins, lo_bin + chunk))
+
+    def solve_chunk(sl: slice) -> None:
         Xe = np.ascontiguousarray(embedded[:, sl, :])
         w = weights[:, sl]
         wXe = w[:, :, None] * Xe
@@ -213,6 +226,20 @@ def wstws_cancel(
         h[bad] = 0.0
         h_all[:, sl, :] = h
         degenerate[:, sl] = bad
+
+    workers = _n_workers()
+    chunk = max(
+        1,
+        min(n_bins, _CHUNK_BYTES // (16 * n_frames * taps * taps), -(-n_bins // workers)),
+    )
+    slices = [slice(lo, min(n_bins, lo + chunk)) for lo in range(0, n_bins, chunk)]
+    if len(slices) == 1 or workers == 1:
+        for sl in slices:
+            solve_chunk(sl)
+    else:
+        # numpy's kernels release the GIL; each chunk writes only its own bins
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(solve_chunk, slices))
 
     prediction = np.einsum("tfk,tfk->tf", h_all.conj(), embedded)
     residual = Y.data - prediction

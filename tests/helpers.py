@@ -37,6 +37,23 @@ def random_spectrogram(rng, n_frames, cfg=None, scale=1.0):
     return Spectrogram(data, cfg)
 
 
+def frame_loop_istft(spec):
+    """Least-squares overlap-add synthesis, one frame at a time: each
+    irfft frame, weighted by the window, is added at its hop offset and the
+    sum is divided by the summed squared window."""
+    cfg = spec.config
+    win = cfg.analysis_window()
+    frames = np.fft.irfft(spec.data, n=cfg.window_len, axis=1)
+    out_len = (spec.n_frames - 1) * cfg.hop + cfg.window_len
+    num = np.zeros(out_len)
+    den = np.zeros(out_len)
+    for t in range(spec.n_frames):
+        start = t * cfg.hop
+        num[start : start + cfg.window_len] += frames[t] * win
+        den[start : start + cfg.window_len] += win * win
+    return num / np.maximum(den, 1e-12)
+
+
 def dense_normal_equations(Y, X, t, f, cfg: WienerConfig):
     """Dense weighted normal-equations solve for one unit, built with plain
     python loops and a generic linear solve."""

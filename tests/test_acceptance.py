@@ -144,6 +144,7 @@ def _bootstrap_means(rng, values, n_boot=2000):
     return values[idx].mean(axis=1)
 
 
+@pytest.mark.slow
 def test_criterion_3_directional_echo_study():
     n_scenes = 200
     cfg = RunConfig(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import speech_like
+from helpers import frame_loop_istft, speech_like
 
 from refaec import Spectrogram, StftConfig, TimeSignal, delay_stack, stft_forward, stft_inverse
 from refaec.dsp import delay_embed
@@ -83,6 +83,17 @@ def test_round_trip_quarter_window_hop(rng):
     lo, hi = cfg.window_len - cfg.hop, cfg.n_frames(len(sig)) * cfg.hop
     err = np.linalg.norm(back.samples[lo:hi] - sig.samples[lo:hi])
     assert err / np.linalg.norm(sig.samples[lo:hi]) <= 1e-6
+
+
+@pytest.mark.parametrize("window_len,hop", [(320, 160), (320, 80), (28, 14), (320, 100), (30, 7)])
+def test_inverse_matches_frame_loop_overlap_add(rng, window_len, hop):
+    cfg = StftConfig(window_len=window_len, hop=hop)
+    n_frames = 37
+    data = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal(
+        (n_frames, cfg.n_bins)
+    )
+    spec = Spectrogram(data, cfg)
+    assert np.array_equal(stft_inverse(spec).samples, frame_loop_istft(spec))
 
 
 def test_zero_spectrogram_inverts_to_zero():

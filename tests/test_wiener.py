@@ -1,8 +1,12 @@
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import dense_normal_equations, lstsq_weighted, random_spectrogram
 
 from refaec import Spectrogram, StftConfig, WienerConfig, solve_frame, wstws_cancel
+from refaec import wiener
 from refaec.wiener import lambda_weight, lambda_weights, stws_config
 
 
@@ -132,6 +136,68 @@ def test_causality_bit_identical_prefix(rng):
 
     assert np.array_equal(res_a.data[:t_perturb], res_b.data[:t_perturb])
     assert np.array_equal(bank_a.taps[:t_perturb], bank_b.taps[:t_perturb])
+
+
+def _split_work(monkeypatch, chunk_bytes, workers):
+    """Set the chunk budget and worker count; returns the ids of the threads
+    that build window sums (two calls per chunk)."""
+    monkeypatch.setattr(wiener, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(wiener, "_n_workers", lambda: workers)
+    real = wiener._windowed_sums
+    threads = []
+
+    def recorded(cum, window_frames):
+        threads.append(threading.get_ident())
+        return real(cum, window_frames)
+
+    monkeypatch.setattr(wiener, "_windowed_sums", recorded)
+    return threads
+
+
+def _zero_band_no_load(Y, X, cfg):
+    # all-zero bins are flagged by the trace test and solve in bulk; every other
+    # bin is singular at its first frames and takes the per-unit fallback
+    X.data[:, 40:60] = 0.0
+    return replace(cfg, diag_load=0.0)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda Y, X, cfg: cfg,
+        lambda Y, X, cfg: stws_config(cfg),
+        lambda Y, X, cfg: replace(cfg, lambda_mode="frozen"),
+        _zero_band_no_load,
+    ],
+    ids=["weighted", "stws", "frozen", "zero_band_no_load"],
+)
+def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
+    Y = random_spectrogram(rng, 40)
+    X = random_spectrogram(rng, 40)
+    cfg = variant(Y, X, WienerConfig(taps=3, window_frames=8))
+
+    with monkeypatch.context() as m:
+        threads = _split_work(m, 1 << 62, 1)
+        res_a, bank_a = wstws_cancel(Y, X, cfg)
+        assert len(threads) == 2
+    with monkeypatch.context() as m:
+        threads = _split_work(m, 1, 4)
+        res_b, bank_b = wstws_cancel(Y, X, cfg)
+        assert len(threads) == 2 * Y.n_bins
+        assert len(set(threads)) > 1
+
+    assert np.array_equal(res_a.data, res_b.data)
+    assert np.array_equal(bank_a.taps, bank_b.taps)
+    assert np.array_equal(bank_a.degenerate, bank_b.degenerate)
+    if cfg.diag_load == 0.0:
+        assert bank_b.degenerate[:, 40:60].all()
+        assert bank_b.degenerate[:, :40].any() and not bank_b.degenerate[:, :40].all()
+
+
+def test_causality_prefix_with_split_chunks(rng, monkeypatch):
+    threads = _split_work(monkeypatch, 1, 3)
+    test_causality_bit_identical_prefix(rng)
+    assert len(threads) == 2 * 2 * StftConfig().n_bins
 
 
 def test_weighted_equals_unweighted_for_constant_modulus(rng):
