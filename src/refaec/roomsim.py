@@ -40,8 +40,7 @@ class RoomSpec:
     """Rectangular room with a target decay time.
 
     max_order caps the total reflection count per image (None lets the
-    impulse-response length decide); rir_len overrides the default length of
-    1.2 * t60 worth of samples.
+    impulse-response length decide).
     """
 
     length: float
@@ -50,7 +49,6 @@ class RoomSpec:
     t60: float
     speed_of_sound: float = 343.0
     max_order: int | None = None
-    rir_len: int | None = None
 
     def __post_init__(self):
         if not LENGTH_RANGE[0] <= self.length <= LENGTH_RANGE[1]:
@@ -80,8 +78,7 @@ class RoomSpec:
         return float(np.sqrt(1.0 - absorption))
 
     def rir_samples(self, sample_rate: int) -> int:
-        if self.rir_len is not None:
-            return self.rir_len
+        """Impulse-response length, 1.2 * t60 worth of samples."""
         return int(np.ceil(1.2 * self.t60 * sample_rate))
 
 

@@ -4,6 +4,13 @@ Two solver flavours share one machinery: the plain short-time Wiener solution
 (every window frame contributes equally) and the weighted variant, which
 divides each frame's squared error by an energy-tracking weight so that
 low-energy units do not dominate the fit.
+
+wstws_cancel solves every unit's normal equations A h = b at once: the
+Hermitian A is kept as its packed upper triangle, its sliding-window sums come
+from one cumulative sum along frames, and each unit is solved by a Cholesky
+factorisation A = R^H R written as elementwise passes over all units of a
+chunk of bins. A unit whose loaded A is not numerically positive definite gets
+the zero filter. solve_frame is the per-unit reference.
 """
 
 from __future__ import annotations
@@ -19,12 +26,16 @@ from .dsp import Spectrogram, delay_embed, delay_stack
 
 WEIGHT_FLOOR = 1e-12
 
-# Bins are solved in chunks whose tap-covariance tensor (16 * frames * chunk *
-# taps**2 bytes) stays near this budget, so each worker's passes over it run
-# from cache; at least one bin per chunk, at least one chunk per worker. Every
-# bin's arithmetic is the same whatever the chunking, so outputs do not depend
-# on the budget or the worker count.
+# Bins are solved in chunks. A chunk's buffer holds, per bin and frame, the
+# packed upper triangle of the tap covariance and the cross-correlation
+# vector, 16 * (taps * (taps + 3) / 2) * frames * bins bytes; it stays near
+# _CHUNK_BYTES so each worker's passes over it run from cache, but spans at
+# least _CHUNK_UNITS frame-bins so every numpy call has enough elements to
+# amortise its interpreter overhead. At least one bin per chunk, at least one
+# chunk per worker. Every bin's arithmetic is the same whatever the chunking,
+# so outputs do not depend on the budget, the floor or the worker count.
 _CHUNK_BYTES = 2 * 1024 * 1024
+_CHUNK_UNITS = 2048
 
 
 def _n_workers() -> int:
@@ -69,8 +80,9 @@ class FilterBank:
     """Per-unit tap estimates, shape [n_frames, n_bins, taps].
 
     taps[t] is the filter estimated at frame t and depends only on frames <= t.
-    degenerate marks units whose normal equations were singular even after
-    loading; those units carry a zero filter instead of aborting the run.
+    degenerate marks units whose loaded normal equations were not numerically
+    positive definite (or gave non-finite taps); those units carry a zero
+    filter instead of aborting the run.
     """
 
     taps: np.ndarray
@@ -145,15 +157,18 @@ def solve_frame(Y: Spectrogram, X: Spectrogram, t: int, f: int, cfg: WienerConfi
 
 
 def _windowed_sums(cum: np.ndarray, window_frames: int) -> np.ndarray:
-    """Sliding sums over [t - window_frames, t] from cumulative sums along axis 0."""
-    n = cum.shape[0]
+    """Sliding sums over [t - window_frames, t] from cumulative sums along the
+    last axis, formed in place and returned.
+
+    Blocks of at most window_frames + 1 frames are taken from the end, so each
+    block subtracts frames that are still cumulative sums.
+    """
+    n = cum.shape[-1]
     span = window_frames + 1
-    if n <= span:
-        return cum
-    out = np.empty_like(cum)
-    out[:span] = cum[:span]
-    np.subtract(cum[span:], cum[: n - span], out=out[span:])
-    return out
+    for hi in range(n, span, -span):
+        lo = max(span, hi - span)
+        cum[..., lo:hi] -= cum[..., lo - span : hi - span]
+    return cum
 
 
 def wstws_cancel(
@@ -163,8 +178,9 @@ def wstws_cancel(
 
     For each frame t and bin f a taps-long filter is fit over the sliding
     window [t - window_frames, t] (truncated at 0) and applied to the current
-    delay stack; the returned residual is Y minus that prediction. Singular
-    units fall back to a zero filter and are flagged in the filter bank.
+    delay stack; the returned residual is Y minus that prediction. Units whose
+    loaded normal equations are not numerically positive definite fall back to
+    a zero filter and are flagged in the filter bank.
     """
     _check_same_grid(Y, X)
     n_frames, n_bins = Y.data.shape
@@ -182,55 +198,84 @@ def wstws_cancel(
 
     embedded = delay_embed(X.data, taps)
     h_all = np.empty((n_frames, n_bins, taps), dtype=np.complex128)
-    degenerate = np.zeros((n_frames, n_bins), dtype=bool)
+    degenerate = np.empty((n_frames, n_bins), dtype=bool)
+    residual = np.empty_like(Y.data)
 
-    eye = np.eye(taps)
+    # Row i of the packed upper triangle holds A[i, i:] and starts at
+    # row_start[i]; b follows the triangle. above[i] indexes R[:i, i].
+    n_tri = taps * (taps + 1) // 2
+    entries = n_tri + taps
+    row_start = [i * taps - i * (i - 1) // 2 for i in range(taps)]
+    above = [np.array([row_start[k] + i - k for k in range(i)], dtype=np.intp) for i in range(taps)]
 
     def solve_chunk(sl: slice) -> None:
-        Xe = np.ascontiguousarray(embedded[:, sl, :])
-        w = weights[:, sl]
-        wXe = w[:, :, None] * Xe
-        A = _windowed_sums(
-            np.cumsum(np.einsum("tfk,tfl->tfkl", wXe, Xe.conj()), axis=0), window
-        )
-        b = _windowed_sums(
-            np.cumsum(wXe * np.conj(Y.data[:, sl])[:, :, None], axis=0), window
-        )
+        # frame-innermost layout [entry, bin, frame]: x[k, f, t] = X[t - k, f]
+        x = np.ascontiguousarray(embedded[:, sl, :].transpose(2, 1, 0))
+        y = np.ascontiguousarray(Y.data[:, sl].T)
+        wx = x * weights[:, sl].T
+        G = np.empty((entries,) + y.shape, dtype=np.complex128)
+        xc = x.conj()
+        for i in range(taps):
+            np.multiply(wx[i], xc[i:], out=G[row_start[i] : row_start[i] + taps - i])
+        np.multiply(wx, y.conj(), out=G[n_tri:])
+        G = _windowed_sums(np.cumsum(G, axis=2, out=G), window)
         if frozen_scale is not None:
-            A *= frozen_scale[:, sl, None, None]
-            b *= frozen_scale[:, sl, None]
+            G *= frozen_scale[:, sl].T
 
-        trace = np.einsum("tfkk->tf", A).real
+        diag = [G[s] for s in row_start]
+        trace = sum(d.real for d in diag)
         bad = ~np.isfinite(trace) | (trace <= 0.0)
-        A += (cfg.diag_load * trace / taps)[:, :, None, None] * eye
-        if bad.any():
-            A[bad] = eye
-            b[bad] = 0.0
-        try:
-            h = np.linalg.solve(A, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            h = np.zeros_like(b)
-            flat_A = A.reshape(-1, taps, taps)
-            flat_b = b.reshape(-1, taps)
-            flat_h = h.reshape(-1, taps)
-            flat_bad = bad.reshape(-1)
-            for i in range(flat_A.shape[0]):
-                try:
-                    flat_h[i] = np.linalg.solve(flat_A[i], flat_b[i])
-                except np.linalg.LinAlgError:
-                    flat_bad[i] = True
-        nonfinite = ~np.all(np.isfinite(h), axis=2)
-        if nonfinite.any():
-            h[nonfinite] = 0.0
-            bad |= nonfinite
-        h[bad] = 0.0
-        h_all[:, sl, :] = h
-        degenerate[:, sl] = bad
+        load = cfg.diag_load * trace / taps
+        for d in diag:
+            d += load
+
+        # A = R^H R, right-looking and in place: row i of the triangle becomes
+        # R[i, i + 1:], and 1 / R[i, i] goes to inv[i]. b rides along as an
+        # extra column, so it leaves the loop as the forward solution z of
+        # R^H z = b. Units with a non-positive pivot turn to inf/nan here and
+        # are zeroed below.
+        b = G[n_tri:]
+        inv = np.empty((taps,) + y.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(taps):
+                row = G[row_start[i] : row_start[i] + taps - i]
+                pivot = row[0].real
+                bad |= ~(pivot > 0.0)
+                inv[i] = 1.0 / np.sqrt(pivot)
+                b[i] *= inv[i]
+                r = row[1:]
+                r *= inv[i]
+                rc = r.conj()
+                b[i + 1 :] -= rc * b[i]
+                for j, k in enumerate(range(i + 1, taps)):
+                    G[row_start[k] : row_start[k] + taps - k] -= rc[j] * r[j:]
+            # back substitution R h = z, one column of R at a time
+            for i in range(taps - 1, -1, -1):
+                b[i] *= inv[i]
+                if i:
+                    b[:i] -= G[above[i]] * b[i]
+        h = b
+        bad |= ~np.isfinite(h).all(axis=0)
+        h[:, bad] = 0.0
+
+        prediction = h[0].conj() * x[0]
+        for k in range(1, taps):
+            prediction += h[k].conj() * x[k]
+        res = y - prediction
+        # zero-filter units pass Y through untouched, bit for bit
+        np.copyto(res, y, where=~(h != 0).any(axis=0))
+        h_all[:, sl, :] = h.transpose(2, 1, 0)
+        degenerate[:, sl] = bad.T
+        residual[:, sl] = res.T
 
     workers = _n_workers()
     chunk = max(
         1,
-        min(n_bins, _CHUNK_BYTES // (16 * n_frames * taps * taps), -(-n_bins // workers)),
+        min(
+            n_bins,
+            -(-n_bins // workers),
+            max(_CHUNK_BYTES // (16 * entries * n_frames), -(-_CHUNK_UNITS // n_frames)),
+        ),
     )
     slices = [slice(lo, min(n_bins, lo + chunk)) for lo in range(0, n_bins, chunk)]
     if len(slices) == 1 or workers == 1:
@@ -241,11 +286,6 @@ def wstws_cancel(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(solve_chunk, slices))
 
-    prediction = np.einsum("tfk,tfk->tf", h_all.conj(), embedded)
-    residual = Y.data - prediction
-    # zero-filter units pass Y through untouched, bit for bit
-    zero_filter = ~np.any(h_all != 0, axis=2)
-    residual[zero_filter] = Y.data[zero_filter]
     return Y.like(residual), FilterBank(h_all, degenerate)
 
 

@@ -75,7 +75,7 @@ def test_solve_frame_matches_lstsq_oracle(rng):
         assert _rel_err(ours, oracle) < 1e-6
 
 
-@pytest.mark.parametrize("taps", [1, 2, 4, 8])
+@pytest.mark.parametrize("taps", [1, 2, 4, 8, 20])
 @pytest.mark.parametrize("window_mult", [1, 4])
 def test_oracle_equivalence_property(rng, taps, window_mult):
     window = taps * window_mult
@@ -91,6 +91,24 @@ def test_oracle_equivalence_property(rng, taps, window_mult):
             oracle = dense_normal_equations(Y, X, t, f, cfg)
             assert _rel_err(bank.taps[t, f], oracle) < 1e-6
             assert _rel_err(solve_frame(Y, X, t, f, cfg), oracle) < 1e-6
+
+
+def test_unloaded_solve_flags_exactly_the_rank_deficient_frames(rng):
+    # without loading, frame t sees only t + 1 non-zero delays, so A is
+    # singular for t < taps - 1 and (on random data) positive definite after
+    taps, n_frames = 4, 60
+    Y = random_spectrogram(rng, n_frames)
+    X = random_spectrogram(rng, n_frames)
+    cfg = WienerConfig(taps=taps, window_frames=16, diag_load=0.0)
+    _, bank = wstws_cancel(Y, X, cfg)
+    assert bank.degenerate[: taps - 1].all()
+    assert not bank.degenerate[taps - 1 :].any()
+    assert np.all(bank.taps[: taps - 1] == 0)
+    for _ in range(12):
+        t = int(rng.integers(2 * taps, n_frames))
+        f = int(rng.integers(0, Y.n_bins))
+        oracle = dense_normal_equations(Y, X, t, f, cfg)
+        assert _rel_err(bank.taps[t, f], oracle) < 1e-6
 
 
 def test_identity_path_cancellation(rng):
@@ -139,9 +157,11 @@ def test_causality_bit_identical_prefix(rng):
 
 
 def _split_work(monkeypatch, chunk_bytes, workers):
-    """Set the chunk budget and worker count; returns the ids of the threads
-    that build window sums (two calls per chunk)."""
+    """Set the chunk budget (and with it the frame-bin floor) and the worker
+    count; returns the ids of the threads that build window sums (one call per
+    chunk)."""
     monkeypatch.setattr(wiener, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(wiener, "_CHUNK_UNITS", chunk_bytes)
     monkeypatch.setattr(wiener, "_n_workers", lambda: workers)
     real = wiener._windowed_sums
     threads = []
@@ -155,8 +175,8 @@ def _split_work(monkeypatch, chunk_bytes, workers):
 
 
 def _zero_band_no_load(Y, X, cfg):
-    # all-zero bins are flagged by the trace test and solve in bulk; every other
-    # bin is singular at its first frames and takes the per-unit fallback
+    # all-zero bins are flagged by the trace test; every other bin has a
+    # non-positive pivot at its first frames
     X.data[:, 40:60] = 0.0
     return replace(cfg, diag_load=0.0)
 
@@ -179,11 +199,11 @@ def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
     with monkeypatch.context() as m:
         threads = _split_work(m, 1 << 62, 1)
         res_a, bank_a = wstws_cancel(Y, X, cfg)
-        assert len(threads) == 2
+        assert len(threads) == 1
     with monkeypatch.context() as m:
         threads = _split_work(m, 1, 4)
         res_b, bank_b = wstws_cancel(Y, X, cfg)
-        assert len(threads) == 2 * Y.n_bins
+        assert len(threads) == Y.n_bins
         assert len(set(threads)) > 1
 
     assert np.array_equal(res_a.data, res_b.data)
@@ -197,7 +217,7 @@ def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
 def test_causality_prefix_with_split_chunks(rng, monkeypatch):
     threads = _split_work(monkeypatch, 1, 3)
     test_causality_bit_identical_prefix(rng)
-    assert len(threads) == 2 * 2 * StftConfig().n_bins
+    assert len(threads) == 2 * StftConfig().n_bins
 
 
 def test_weighted_equals_unweighted_for_constant_modulus(rng):
