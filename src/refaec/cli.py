@@ -145,7 +145,7 @@ def _cmd_rir(args) -> int:
         geom = sample_geometry(room, rng)
         src = args.src or geom.loudspeaker
         mic = args.mic or geom.main_mic
-    h = image_method_rir(room, src, mic, args.sample_rate, seed=args.seed)
+    h = image_method_rir(room, src, mic, args.sample_rate)
     write_wav(args.out, TimeSignal(h, args.sample_rate))
     return 0
 

@@ -5,19 +5,36 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import struct
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import Spectrogram, StftConfig, TimeSignal, stft_forward, stft_inverse
+from .dsp import (
+    DEFAULT_SAMPLE_RATE,
+    Spectrogram,
+    StftConfig,
+    TimeSignal,
+    stft_forward,
+    stft_inverse,
+)
 from .masking import MaskConfig, apply_mask, compute_mask
 from .metrics import evaluate_estimate, report_record
 from .nonlinear import NonlinearityKind, sample_kind
-from .roomsim import SER_GRID_DB, sample_geometry, sample_room, synthesize_scene
+from .roomsim import (
+    CALIBRATION_CACHE_SIZE,
+    SER_GRID_DB,
+    calibrated_reflectivity,
+    sample_geometry,
+    sample_room,
+    synthesize_scene,
+)
 from .wavio import read_wav, write_wav
-from .wiener import WienerConfig, wstws_cancel
+from .wiener import WienerConfig, _n_workers, wstws_cancel
 
 FEATURE_MAGIC = b"ECF1"
 FEATURE_VERSION = 1
@@ -95,6 +112,10 @@ def run_linear_stage(
         raise ValueError("y, x, r must share a length")
     if not (y.sample_rate == x.sample_rate == r.sample_rate):
         raise ValueError("y, x, r must share a sample rate")
+    if y.sample_rate != DEFAULT_SAMPLE_RATE:
+        raise ValueError(
+            f"the linear stage runs at {DEFAULT_SAMPLE_RATE} Hz, got {y.sample_rate} Hz"
+        )
 
     Y = stft_forward(y, cfg.stft)
     X = stft_forward(x, cfg.stft)
@@ -103,9 +124,10 @@ def run_linear_stage(
     mask = compute_mask(R, X, cfg.mask, cfg.wiener_ref)
     R_m = apply_mask(R, mask, cfg.mask.compression)
 
-    resid_far, _ = wstws_cancel(Y, X, cfg.wiener_main)
-    resid_ref, _ = wstws_cancel(Y, R, cfg.wiener_main)
-    resid_ref_masked, _ = wstws_cancel(Y, R_m, cfg.wiener_main)
+    # [0] drops each filter bank before the next canceller runs
+    resid_far = wstws_cancel(Y, X, cfg.wiener_main)[0]
+    resid_ref = wstws_cancel(Y, R, cfg.wiener_main)[0]
+    resid_ref_masked = wstws_cancel(Y, R_m, cfg.wiener_main)[0]
 
     return FeatureBundle(
         far=X,
@@ -178,6 +200,29 @@ def read_features(path) -> tuple[dict, list[np.ndarray]]:
     return header, signals
 
 
+def _map_scenes(fn, items: list) -> list:
+    """fn applied to every item, the results in item order.
+
+    Scenes are independent, so with several scenes and CPUs they run on a pool
+    of forked worker processes, one per CPU in the affinity mask and at most
+    one per scene. A scene's arithmetic is the same wherever it runs, so
+    outputs do not depend on the worker count. A worker's exception is raised
+    here, for the first failing item. Forked workers inherit the parent's
+    memory, warm caches included. The items run inline with one worker, where
+    processes cannot fork, or while other threads run: a fork copies any lock
+    another thread holds, and nothing in the child would release it.
+    """
+    workers = min(len(items), _n_workers())
+    if (
+        workers <= 1
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return [fn(item) for item in items]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return list(pool.imap(fn, items))
+
+
 def _scene_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
 
@@ -209,6 +254,57 @@ def _nonlinearity_record(kind: NonlinearityKind) -> dict:
     return {"family": kind.family, "b": kind.b}
 
 
+def _synth_scene(
+    index: int, *, seed, matched, out, near_files, far_files, duration, sample_rate
+) -> dict:
+    """Synthesize and write scene `index`; returns its manifest record."""
+    rng = _scene_rng(seed, index)
+    scene_id = f"scene_{index:06d}"
+    room = sample_room(rng)
+    geom = sample_geometry(room, rng)
+    kind = sample_kind(rng, matched=matched)
+    ser_db = int(SER_GRID_DB[rng.integers(len(SER_GRID_DB))])
+    near_path = near_files[rng.integers(len(near_files))]
+    far_path = far_files[rng.integers(len(far_files))]
+    n = int(round(duration * sample_rate))
+    v = _load_corpus_clip(near_path, rng, n, sample_rate)
+    x = _load_corpus_clip(far_path, rng, n, sample_rate)
+
+    scene = synthesize_scene(room, geom, v, x, kind, ser_db, seed=index, duration=duration)
+
+    files = {}
+    for name, sig in (("y", scene.y), ("x", scene.x), ("r", scene.r), ("sd", scene.s_direct)):
+        rel = f"{scene_id}/{name}.wav"
+        write_wav(out / rel, sig)
+        files[name] = rel
+
+    return {
+        "scene_id": scene_id,
+        "index": index,
+        "base_seed": seed,
+        "files": files,
+        "room": {
+            "length": room.length,
+            "width": room.width,
+            "height": room.height,
+            "t60": room.t60,
+        },
+        "geometry": {
+            "loudspeaker": list(geom.loudspeaker),
+            "talker": list(geom.talker),
+            "main_mic": list(geom.main_mic),
+            "ref_mic": list(geom.ref_mic),
+        },
+        "nonlinearity": _nonlinearity_record(kind),
+        "ser_db": scene.ser_db,
+        "echo_gain": scene.echo_gain,
+        "scenario": "DT",
+        "duration": duration,
+        "sample_rate": sample_rate,
+        "corpus": {"near": near_path.name, "far": far_path.name},
+    }
+
+
 def synth_dataset(
     count: int,
     matched: bool,
@@ -226,56 +322,25 @@ def synth_dataset(
     out.mkdir(parents=True, exist_ok=True)
     near_files = _list_corpus(corpus_near)
     far_files = _list_corpus(corpus_far)
-    n = int(round(duration * sample_rate))
 
+    synth = partial(
+        _synth_scene,
+        seed=seed,
+        matched=matched,
+        out=out,
+        near_files=near_files,
+        far_files=far_files,
+        duration=duration,
+        sample_rate=sample_rate,
+    )
     records = []
-    for index in range(count):
-        rng = _scene_rng(seed, index)
-        scene_id = f"scene_{index:06d}"
-        room = sample_room(rng)
-        geom = sample_geometry(room, rng)
-        kind = sample_kind(rng, matched=matched)
-        ser_db = int(SER_GRID_DB[rng.integers(len(SER_GRID_DB))])
-        near_path = near_files[rng.integers(len(near_files))]
-        far_path = far_files[rng.integers(len(far_files))]
-        v = _load_corpus_clip(near_path, rng, n, sample_rate)
-        x = _load_corpus_clip(far_path, rng, n, sample_rate)
-
-        scene = synthesize_scene(room, geom, v, x, kind, ser_db, seed=index, duration=duration)
-
-        files = {}
-        for name, sig in (("y", scene.y), ("x", scene.x), ("r", scene.r), ("sd", scene.s_direct)):
-            rel = f"{scene_id}/{name}.wav"
-            write_wav(out / rel, sig)
-            files[name] = rel
-
-        records.append(
-            {
-                "scene_id": scene_id,
-                "index": index,
-                "base_seed": seed,
-                "files": files,
-                "room": {
-                    "length": room.length,
-                    "width": room.width,
-                    "height": room.height,
-                    "t60": room.t60,
-                },
-                "geometry": {
-                    "loudspeaker": list(geom.loudspeaker),
-                    "talker": list(geom.talker),
-                    "main_mic": list(geom.main_mic),
-                    "ref_mic": list(geom.ref_mic),
-                },
-                "nonlinearity": _nonlinearity_record(kind),
-                "ser_db": scene.ser_db,
-                "echo_gain": scene.echo_gain,
-                "scenario": "DT",
-                "duration": duration,
-                "sample_rate": sample_rate,
-                "corpus": {"near": near_path.name, "far": far_path.name},
-            }
-        )
+    for lo in range(0, count, CALIBRATION_CACHE_SIZE):
+        indices = list(range(lo, min(count, lo + CALIBRATION_CACHE_SIZE)))
+        # calibrate the rooms before the workers fork: they inherit the warm
+        # cache, so each room is calibrated once, here
+        for index in indices:
+            calibrated_reflectivity(sample_room(_scene_rng(seed, index)), sample_rate)
+        records += _map_scenes(synth, indices)
 
     manifest = out / MANIFEST_NAME
     with open(manifest, "w") as fh:
@@ -297,6 +362,19 @@ def read_manifest(path) -> list[dict]:
     return records
 
 
+def _run_scene(rec: dict, *, root: Path, out: Path, cfg: RunConfig, export: bool) -> Path:
+    """Run the linear stage on one manifest scene and write its outputs;
+    returns the estimate's path."""
+    scene_id = rec["scene_id"]
+    y, x, r = (read_wav(root / rec["files"][name]) for name in ("y", "x", "r"))
+    bundle = run_linear_stage(y, x, r, cfg, scene_id=scene_id)
+    est_path = out / f"{scene_id}.wav"
+    write_wav(est_path, stft_inverse(bundle.resid_ref_masked))
+    if export:
+        export_features(bundle, out / f"{scene_id}.ecf")
+    return est_path
+
+
 def run_dataset(
     manifest_path,
     out_dir,
@@ -308,23 +386,10 @@ def run_dataset(
     and, when export is set, the full feature bundle as `<scene_id>.ecf`."""
     cfg = cfg or RunConfig()
     manifest_path = Path(manifest_path)
-    root = manifest_path.parent
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for rec in read_manifest(manifest_path):
-        scene_id = rec["scene_id"]
-        y = read_wav(root / rec["files"]["y"])
-        x = read_wav(root / rec["files"]["x"])
-        r = read_wav(root / rec["files"]["r"])
-        bundle = run_linear_stage(y, x, r, cfg, scene_id=scene_id)
-        estimate = stft_inverse(bundle.resid_ref_masked)
-        est_path = out / f"{scene_id}.wav"
-        write_wav(est_path, estimate)
-        written.append(est_path)
-        if export:
-            export_features(bundle, out / f"{scene_id}.ecf")
-    return written
+    run = partial(_run_scene, root=manifest_path.parent, out=out, cfg=cfg, export=export)
+    return _map_scenes(run, read_manifest(manifest_path))
 
 
 def eval_dataset(

@@ -25,6 +25,7 @@ WIDTH_RANGE = (3.0, 7.0)
 HEIGHT_RANGE = (3.0, 5.0)
 T60_RANGE = (0.1, 0.8)
 SER_GRID_DB = np.arange(-10, 11)
+CALIBRATION_CACHE_SIZE = 256  # rooms whose calibrated reflectivity is kept
 
 
 class GeometryError(ValueError):
@@ -120,24 +121,22 @@ def validate_geometry(room: RoomSpec, geom: SceneGeometry) -> None:
         )
 
 
-def _image_source_rir(
-    room: RoomSpec,
-    src: np.ndarray,
-    mic: np.ndarray,
-    sample_rate: int,
-    beta: float,
-    seed: int | None,
-    jitter: float,
-) -> np.ndarray:
-    """Mirror-image accumulation at a given uniform wall reflectivity."""
+def _image_lattice(
+    room: RoomSpec, src: np.ndarray, mic: np.ndarray, sample_rate: int
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The mirror images that arrive within the response, independent of the
+    wall reflectivity.
+
+    Returns the response length and, per source parity, each image's arrival
+    sample, reflection count and 4*pi*d spreading, in accumulation order.
+    """
     dims = room.dims
     direct = float(np.linalg.norm(src - mic))
     c = room.speed_of_sound
     n_samples = max(room.rir_samples(sample_rate), int(round(direct / c * sample_rate)) + 1)
     reach = n_samples / sample_rate * c
-    rng = np.random.default_rng(seed) if jitter > 0 else None
 
-    h = np.zeros(n_samples)
+    images = []
     max_n = np.ceil(reach / (2.0 * dims)).astype(int)
     grids = [np.arange(-m, m + 1) for m in max_n]
     for px in (0, 1):
@@ -148,36 +147,42 @@ def _image_source_rir(
                 coords = [
                     (1 - 2 * p[d]) * src[d] + 2.0 * grids[d] * dims[d] for d in range(3)
                 ]
-                orders = [np.abs(grids[d] - p[d]) + np.abs(grids[d]) for d in range(3)]
+                orders = [
+                    (np.abs(grids[d] - p[d]) + np.abs(grids[d])).astype(np.int16)
+                    for d in range(3)
+                ]
                 order = (
                     orders[0][:, None, None]
                     + orders[1][None, :, None]
                     + orders[2][None, None, :]
                 )
-                if jitter > 0:
-                    shape = order.shape
-                    disp = rng.uniform(-jitter, jitter, size=(3,) + shape)
-                    reflected = order > 0
-                    dx = coords[0][:, None, None] + np.where(reflected, disp[0], 0.0) - mic[0]
-                    dy = coords[1][None, :, None] + np.where(reflected, disp[1], 0.0) - mic[1]
-                    dz = coords[2][None, None, :] + np.where(reflected, disp[2], 0.0) - mic[2]
-                    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-                else:
-                    dist = np.sqrt(
-                        ((coords[0] - mic[0]) ** 2)[:, None, None]
-                        + ((coords[1] - mic[1]) ** 2)[None, :, None]
-                        + ((coords[2] - mic[2]) ** 2)[None, None, :]
-                    )
+                dist = (
+                    ((coords[0] - mic[0]) ** 2)[:, None, None]
+                    + ((coords[1] - mic[1]) ** 2)[None, :, None]
+                    + ((coords[2] - mic[2]) ** 2)[None, None, :]
+                )
+                dist = np.sqrt(dist, out=dist)
                 keep = dist < reach
                 if room.max_order is not None:
                     keep &= order <= room.max_order
-                if not keep.any():
-                    continue
                 dist_k = dist[keep]
-                amp = beta ** order[keep] / (4.0 * np.pi * dist_k)
-                idx = np.round(dist_k / c * sample_rate).astype(np.int64)
+                del dist
+                # int32 delays and int16 counts keep the lattice compact
+                idx = np.round(dist_k / c * sample_rate).astype(np.int32)
                 valid = idx < n_samples
-                h += np.bincount(idx[valid], weights=amp[valid], minlength=n_samples)
+                if valid.any():
+                    images.append(
+                        (idx[valid], order[keep][valid], 4.0 * np.pi * dist_k[valid])
+                    )
+    return n_samples, images
+
+
+def _lattice_rir(n_samples: int, images, beta: float) -> np.ndarray:
+    """Mirror-image accumulation at a given uniform wall reflectivity."""
+    h = np.zeros(n_samples)
+    for idx, order, spread in images:
+        gain = beta ** np.arange(order.max() + 1)
+        h += np.bincount(idx, weights=gain[order] / spread, minlength=n_samples)
     return h
 
 
@@ -227,10 +232,11 @@ def calibrated_reflectivity(room: RoomSpec, sample_rate: int = DEFAULT_SAMPLE_RA
 
 
 def _calibrated_reflectivity_uncached(room: RoomSpec, sample_rate: int) -> float:
-    src, mic = _calibration_path(room)
+    # the trials differ only in beta, so the image lattice is built once
+    n_samples, images = _image_lattice(room, *_calibration_path(room), sample_rate)
     beta = room.eyring_reflectivity()
     for _ in range(4):
-        trial = _image_source_rir(room, src, mic, sample_rate, beta, None, 0.0)
+        trial = _lattice_rir(n_samples, images, beta)
         measured = measured_decay_time(trial, sample_rate)
         if not np.isfinite(measured):
             break
@@ -242,7 +248,9 @@ def _calibrated_reflectivity_uncached(room: RoomSpec, sample_rate: int) -> float
     return beta
 
 
-_calibrated_reflectivity_cached = lru_cache(maxsize=256)(_calibrated_reflectivity_uncached)
+_calibrated_reflectivity_cached = lru_cache(maxsize=CALIBRATION_CACHE_SIZE)(
+    _calibrated_reflectivity_uncached
+)
 
 
 def image_method_rir(
@@ -250,16 +258,11 @@ def image_method_rir(
     src,
     mic,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
-    seed: int | None = None,
-    jitter: float = 0.0,
 ) -> np.ndarray:
     """Mirror-image impulse response between two points in the room.
 
     Images accumulate at integer sample delays with 1/(4*pi*d) spreading and
-    uniform, decay-calibrated wall reflectivity. jitter > 0 displaces every
-    reflected image uniformly within +-jitter meters (the direct path stays
-    exact), which decorrelates the perfectly regular image lattice; the
-    displacement is driven by seed.
+    uniform, decay-calibrated wall reflectivity.
     """
     src = _point(src)
     mic = _point(mic)
@@ -270,7 +273,7 @@ def image_method_rir(
     if direct < MIN_SOURCE_MIC_DIST:
         raise GeometryError(f"source and microphone are {direct:.4f} m apart (< 1 cm)")
     beta = calibrated_reflectivity(room, sample_rate)
-    return _image_source_rir(room, src, mic, sample_rate, beta, seed, jitter)
+    return _lattice_rir(*_image_lattice(room, src, mic, sample_rate), beta)
 
 
 def split_direct(
@@ -363,7 +366,8 @@ def synthesize_scene(
     The echo gain that realizes ser_db on the main mic is applied to the
     loudspeaker contribution at both mics, preserving their physical coupling.
     Single-talk inputs (either source silent) skip the mixing and keep unit
-    gain, with ser_db recorded as None.
+    gain, with ser_db recorded as None. seed is only recorded on the Scene:
+    the synthesis draws no random numbers.
     """
     if v.sample_rate != x.sample_rate:
         raise ValueError("near-end and far-end sample rates differ")
@@ -373,10 +377,10 @@ def synthesize_scene(
     v = _fit_length(v, n)
     x = _fit_length(x, n)
 
-    h1 = image_method_rir(room, geom.talker, geom.main_mic, fs, seed)
-    h2 = image_method_rir(room, geom.loudspeaker, geom.main_mic, fs, seed)
-    h3 = image_method_rir(room, geom.talker, geom.ref_mic, fs, seed)
-    h4 = image_method_rir(room, geom.loudspeaker, geom.ref_mic, fs, seed)
+    h1 = image_method_rir(room, geom.talker, geom.main_mic, fs)
+    h2 = image_method_rir(room, geom.loudspeaker, geom.main_mic, fs)
+    h3 = image_method_rir(room, geom.talker, geom.ref_mic, fs)
+    h4 = image_method_rir(room, geom.loudspeaker, geom.ref_mic, fs)
 
     x_nl = apply_nonlinearity(x, kind)
     s_direct, s_reverb = split_direct(v, h1, split_ms)

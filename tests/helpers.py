@@ -120,6 +120,36 @@ def schroeder_t60(rir, fs, drop_lo=5.0, drop_hi=25.0):
     return float(-60.0 / slope)
 
 
+def image_source_rir(room, src, mic, fs, beta):
+    """Mirror-image response accumulated image by image at reflectivity beta,
+    each image's gain raised to its own reflection count: the per-trial
+    computation that the library's lattice replay must reproduce bit for bit."""
+    src, mic, dims = np.asarray(src, float), np.asarray(mic, float), room.dims
+    c = room.speed_of_sound
+    direct = float(np.linalg.norm(src - mic))
+    n_samples = max(room.rir_samples(fs), int(round(direct / c * fs)) + 1)
+    reach = n_samples / fs * c
+    grids = [np.arange(-m, m + 1) for m in np.ceil(reach / (2.0 * dims)).astype(int)]
+    h = np.zeros(n_samples)
+    for p in np.ndindex(2, 2, 2):
+        coords = [(1 - 2 * p[d]) * src[d] + 2.0 * grids[d] * dims[d] for d in range(3)]
+        orders = [np.abs(grids[d] - p[d]) + np.abs(grids[d]) for d in range(3)]
+        order = orders[0][:, None, None] + orders[1][None, :, None] + orders[2][None, None, :]
+        dist = np.sqrt(
+            ((coords[0] - mic[0]) ** 2)[:, None, None]
+            + ((coords[1] - mic[1]) ** 2)[None, :, None]
+            + ((coords[2] - mic[2]) ** 2)[None, None, :]
+        )
+        keep = dist < reach
+        if room.max_order is not None:
+            keep &= order <= room.max_order
+        amp = beta ** order[keep] / (4.0 * np.pi * dist[keep])
+        idx = np.round(dist[keep] / c * fs).astype(np.int64)
+        valid = idx < n_samples
+        h += np.bincount(idx[valid], weights=amp[valid], minlength=n_samples)
+    return h
+
+
 def harmonic_distortion(nonlinearity, fs=16000, f0=500.0, amplitude=1.0, n=16000):
     """Total harmonic distortion of a pure tone pushed through a sample-wise
     nonlinearity, from the FFT magnitudes at integer harmonics."""

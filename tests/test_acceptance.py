@@ -35,6 +35,7 @@ from refaec import (
     synthesize_scene,
     wstws_cancel,
 )
+from refaec import pipeline
 from refaec.cli import main as cli_main
 from refaec.nonlinear import exponential, hard_clip, saturating, sigmoid_stage, soft_clip
 from refaec.wavio import write_wav
@@ -230,7 +231,7 @@ def test_criterion_5_rir_validity():
     for i in range(n_rooms):
         room = sample_room(rng)
         geom = sample_geometry(room, rng)
-        h = image_method_rir(room, geom.talker, geom.main_mic, FS, seed=i)
+        h = image_method_rir(room, geom.talker, geom.main_mic, FS)
         estimate = schroeder_t60(h, FS)
         if np.isfinite(estimate) and abs(estimate - room.t60) / room.t60 <= 0.25:
             within += 1
@@ -392,3 +393,12 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     for key in tree_a:
         assert tree_a[key] == tree_b[key], f"byte mismatch in {key}"
     _report(10, "end-to-end determinism", f"{len(tree_a)} files byte-identical across executions")
+
+    # the same tree whether the scenes run inline or on two worker processes
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_n_workers", lambda: workers)
+            tree = execute(tmp_path / f"exec_{workers}_workers")
+        assert tree.keys() == tree_a.keys()
+        for key in tree_a:
+            assert tree[key] == tree_a[key], f"byte mismatch in {key} with {workers} workers"

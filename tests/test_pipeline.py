@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from refaec import (
     synth_dataset,
     synthesize_scene,
 )
+from refaec import pipeline, roomsim
 from refaec.masking import apply_mask, compute_mask
 from refaec.pipeline import (
     FeatureFormatError,
@@ -74,6 +77,13 @@ def test_length_and_rate_validation(rng):
     z = TimeSignal(speech_like(rng, FS).samples, sample_rate=8000)
     with pytest.raises(ValueError):
         run_linear_stage(y, speech_like(rng, FS), z, SMALL)
+
+
+def test_other_sample_rates_raise(rng):
+    # the STFT's 20 ms / 10 ms timing is set in samples at 16 kHz
+    y, x, r = (TimeSignal(speech_like(rng, FS).samples, sample_rate=8000) for _ in range(3))
+    with pytest.raises(ValueError, match="runs at 16000 Hz, got 8000 Hz"):
+        run_linear_stage(y, x, r, SMALL)
 
 
 def test_in_model_masked_reference_matches_far_end_route(rng):
@@ -251,6 +261,50 @@ def test_run_and_eval_dataset(rng, tmp_path):
 
     with pytest.raises(FileNotFoundError):
         eval_dataset(manifest, tmp_path / "missing", tmp_path / "r2.jsonl")
+
+
+def test_worker_synth_calibrates_each_room_once_in_the_parent(rng, tmp_path, monkeypatch):
+    _write_corpus(rng, tmp_path / "near", 2)
+    _write_corpus(rng, tmp_path / "far", 2)
+    monkeypatch.setattr(pipeline, "_n_workers", lambda: 2)
+    cache = roomsim._calibrated_reflectivity_cached
+    cache.cache_clear()
+    manifest = synth_dataset(3, True, tmp_path / "out", 4, tmp_path / "near", tmp_path / "far",
+                             duration=1.0)
+    rooms = {json.dumps(rec["room"], sort_keys=True) for rec in read_manifest(manifest)}
+    info = cache.cache_info()
+    assert info.misses == len(rooms)
+    # the scenes' own lookups happened in the workers, not here
+    assert info.hits == 0
+
+
+def test_worker_exception_reaches_the_caller(rng, tmp_path, monkeypatch):
+    _write_corpus(rng, tmp_path / "near", 2)
+    _write_corpus(rng, tmp_path / "far", 2)
+    manifest = synth_dataset(2, True, tmp_path / "data", 3, tmp_path / "near", tmp_path / "far",
+                             duration=1.0)
+    (tmp_path / "data" / "scene_000001" / "x.wav").unlink()
+    monkeypatch.setattr(pipeline, "_n_workers", lambda: 2)
+    with pytest.raises(FileNotFoundError, match="scene_000001"):
+        run_dataset(manifest, tmp_path / "est", SMALL)
+
+
+def _pid(_item):
+    return os.getpid()
+
+
+def test_scenes_fork_only_while_no_other_thread_runs(monkeypatch):
+    monkeypatch.setattr(pipeline, "_n_workers", lambda: 2)
+    assert os.getpid() not in pipeline._map_scenes(_pid, [0, 1])
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert pipeline._map_scenes(_pid, [0, 1]) == [os.getpid()] * 2
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_config_file_parsing(tmp_path):

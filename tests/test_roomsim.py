@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import schroeder_t60, speech_like
+from helpers import image_source_rir, schroeder_t60, speech_like
 
 from refaec import (
     NonlinearityKind,
@@ -19,6 +19,9 @@ from refaec.roomsim import (
     MixingError,
     REF_SHELL_RADII,
     WALL_MARGIN,
+    _calibration_path,
+    calibrated_reflectivity,
+    measured_decay_time,
     validate_geometry,
 )
 
@@ -49,6 +52,25 @@ def test_rir_reciprocity():
     h_ab = image_method_rir(room, src, mic, FS)
     h_ba = image_method_rir(room, mic, src, FS)
     assert np.allclose(h_ab, h_ba, atol=1e-12 * np.max(np.abs(h_ab)))
+
+
+def test_calibration_and_rir_match_per_image_accumulation(rng):
+    # calibration replays one image lattice for each trial reflectivity; every
+    # trial, and so the result, must equal an image-by-image rebuild
+    for _ in range(3):
+        room = sample_room(rng, t60_range=(0.1, 0.5))
+        src, mic = _calibration_path(room)
+        beta = room.eyring_reflectivity()
+        for _trial in range(4):
+            measured = measured_decay_time(image_source_rir(room, src, mic, FS, beta), FS)
+            if not np.isfinite(measured) or abs(measured / room.t60 - 1.0) < 0.03:
+                break
+            beta = min(max(float(np.exp(np.log(max(beta, 1e-6)) * measured / room.t60)), 0.0),
+                       0.999)
+        assert calibrated_reflectivity(room, FS) == beta
+        geom = sample_geometry(room, rng)
+        h = image_method_rir(room, geom.talker, geom.main_mic, FS)
+        assert np.array_equal(h, image_source_rir(room, geom.talker, geom.main_mic, FS, beta))
 
 
 def test_rir_geometry_errors():
