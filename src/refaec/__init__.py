@@ -10,7 +10,6 @@ from .dsp import (
     Spectrogram,
     StftConfig,
     TimeSignal,
-    delay_stack,
     stft_forward,
     stft_inverse,
 )
@@ -54,7 +53,7 @@ from .roomsim import (
     split_direct,
     synthesize_scene,
 )
-from .wiener import FilterBank, WienerConfig, lambda_weight, solve_frame, wstws_cancel
+from .wiener import FilterBank, WienerConfig, wstws_cancel
 
 __version__ = "0.1.0"
 
@@ -77,14 +76,12 @@ __all__ = [
     "apply_nonlinearity",
     "combined_loss",
     "compute_mask",
-    "delay_stack",
     "erle",
     "evaluate_scene",
     "exponential",
     "export_features",
     "hard_clip",
     "image_method_rir",
-    "lambda_weight",
     "mix_at_ser",
     "polynomial",
     "purify_reference",
@@ -99,7 +96,6 @@ __all__ = [
     "sdr",
     "sigmoid_stage",
     "soft_clip",
-    "solve_frame",
     "split_direct",
     "stft_forward",
     "stft_inverse",

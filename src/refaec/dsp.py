@@ -150,26 +150,11 @@ def stft_inverse(spec: Spectrogram) -> TimeSignal:
     return TimeSignal(num / np.maximum(den, _OLA_FLOOR), spec.sample_rate)
 
 
-def delay_stack(spec: Spectrogram, t: int, f: int, taps: int) -> np.ndarray:
-    """Current-and-past values [S(t,f), S(t-1,f), ..., S(t-taps+1,f)].
-
-    Frames before index 0 read as zero, so the stack is always defined.
-    """
-    if taps < 1:
-        raise ValueError("taps must be >= 1")
-    if not 0 <= t < spec.n_frames or not 0 <= f < spec.n_bins:
-        raise IndexError(f"unit ({t}, {f}) outside {spec.data.shape}")
-    out = np.zeros(taps, dtype=np.complex128)
-    lo = max(0, t - taps + 1)
-    out[: t - lo + 1] = spec.data[t : lo - 1 if lo > 0 else None : -1, f]
-    return out
-
-
 def delay_embed(data: np.ndarray, taps: int) -> np.ndarray:
     """Delay stacks for every unit at once, shape [n_frames, n_bins, taps].
 
-    Entry [t, f, k] equals data[t-k, f] with zero prehistory; equivalent to
-    calling delay_stack per unit.
+    Entry [t, f, k] equals data[t-k, f], with frames before index 0 reading
+    as zero.
     """
     n_frames, n_bins = data.shape
     padded = np.concatenate(

@@ -9,7 +9,7 @@ component estimates then suppresses the near-end contribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,10 @@ from .wiener import WienerConfig, wstws_cancel
 @dataclass(frozen=True)
 class MaskConfig:
     compression: float = 1.0 / 6.0
-    ref_taps: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.compression <= 1.0:
             raise ValueError("compression must lie in [0, 1]")
-        if self.ref_taps < 1:
-            raise ValueError("ref_taps must be >= 1")
 
 
 @dataclass(eq=False)
@@ -56,8 +53,10 @@ def compute_mask(
 
     The cancellation residual of R against X estimates the near-end
     contamination; what the filter removed estimates the far-end component.
+    wiener_cfg alone sets that cancellation, taps included; cfg only carries
+    the compression that apply_mask uses.
     """
-    near, _ = wstws_cancel(R, X, replace(wiener_cfg, taps=cfg.ref_taps))
+    near, _ = wstws_cancel(R, X, wiener_cfg)
     far = R.data - near.data
     return RatioMask(mask_from_estimates(np.abs(far), np.abs(near.data)))
 

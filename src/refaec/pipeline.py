@@ -59,7 +59,6 @@ class RunConfig:
     wiener_main: WienerConfig = field(default_factory=WienerConfig)
     wiener_ref: WienerConfig = field(default_factory=lambda: WienerConfig(taps=1))
     mask: MaskConfig = field(default_factory=MaskConfig)
-    seed: int = 0
 
 
 @dataclass(eq=False)
@@ -443,13 +442,12 @@ def _coerce(value: str, target_type):
 def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
     """Flat key-value overrides for the run configuration.
 
-    Keys are dotted field paths (for example `wiener_main.taps = 8`); blank
-    lines and `#` comments are ignored.
+    Every key is a dotted `section.field` path (for example
+    `wiener_main.taps = 8`); blank lines and `#` comments are ignored.
     """
     cfg = base or RunConfig()
     sections = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     overrides: dict[str, dict] = {}
-    scalars: dict[str, object] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -458,22 +456,14 @@ def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
             key, value = (part.strip() for part in line.split("=", 1))
-            if "." in key:
-                section, fname = key.split(".", 1)
-                if section not in sections or not dataclasses.is_dataclass(sections[section]):
-                    raise ValueError(f"{path}:{lineno}: unknown config section {section!r}")
-                sub = sections[section]
-                sub_fields = {f.name: f for f in dataclasses.fields(sub)}
-                if fname not in sub_fields:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                ftype = type(getattr(sub, fname))
-                overrides.setdefault(section, {})[fname] = _coerce(value, ftype)
-            else:
-                if key != "seed":
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                scalars["seed"] = int(value)
+            section, _, fname = key.partition(".")
+            sub = sections.get(section)
+            if sub is None or fname not in {f.name for f in dataclasses.fields(sub)}:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            ftype = type(getattr(sub, fname))
+            overrides.setdefault(section, {})[fname] = _coerce(value, ftype)
     replaced = {
         name: dataclasses.replace(sections[name], **fields)
         for name, fields in overrides.items()
     }
-    return dataclasses.replace(cfg, **replaced, **scalars)
+    return dataclasses.replace(cfg, **replaced)

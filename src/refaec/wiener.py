@@ -10,7 +10,8 @@ Hermitian A is kept as its packed upper triangle, its sliding-window sums come
 from one cumulative sum along frames, and each unit is solved by a Cholesky
 factorisation A = R^H R written as elementwise passes over all units of a
 chunk of bins. A unit whose loaded A is not numerically positive definite gets
-the zero filter. solve_frame is the per-unit reference.
+the zero filter. The per-unit oracles that the tests check it against live in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from .dsp import Spectrogram, delay_embed, delay_stack
+from .dsp import Spectrogram, delay_embed
 
 WEIGHT_FLOOR = 1e-12
 
@@ -60,7 +61,6 @@ class WienerConfig:
     floor: float = 1e-3
     diag_load: float = 1e-6
     weighted: bool = True
-    lambda_mode: str = "per_summand"  # or "frozen": weight fixed at the solve frame
 
     def __post_init__(self):
         if self.taps < 1:
@@ -71,8 +71,6 @@ class WienerConfig:
             raise ValueError("floor must be > 0")
         if self.diag_load < 0:
             raise ValueError("diag_load must be >= 0")
-        if self.lambda_mode not in ("per_summand", "frozen"):
-            raise ValueError("lambda_mode must be 'per_summand' or 'frozen'")
 
 
 @dataclass(eq=False)
@@ -93,24 +91,10 @@ class FilterBank:
         return self.taps.shape[2]
 
 
-def _check_same_grid(a: Spectrogram, b: Spectrogram) -> None:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"spectrogram shapes differ: {a.data.shape} vs {b.data.shape}")
-
-
-def lambda_weight(Y: Spectrogram, t: int, f: int, window_frames: int, floor: float) -> float:
-    """Energy weight for one unit: floor times the windowed peak power plus the
-    unit's own power. Returns a tiny positive value when the whole window is
-    silent so quotients stay defined."""
-    if floor <= 0:
-        raise ValueError("floor must be > 0")
-    power = np.abs(Y.data[max(0, t - window_frames) : t + 1, f]) ** 2
-    lam = floor * power.max() + power[-1]
-    return float(lam) if lam > 0 else WEIGHT_FLOOR
-
-
 def lambda_weights(Y: Spectrogram, window_frames: int, floor: float) -> np.ndarray:
-    """lambda_weight evaluated for every unit, shape [n_frames, n_bins]."""
+    """Energy weight of every unit, shape [n_frames, n_bins]: floor times the
+    peak power over [t - window_frames, t] plus the unit's own power. Units
+    whose whole window is silent get WEIGHT_FLOOR so quotients stay defined."""
     power = np.abs(Y.data) ** 2
     size = window_frames + 1
     peak = maximum_filter1d(
@@ -119,41 +103,6 @@ def lambda_weights(Y: Spectrogram, window_frames: int, floor: float) -> np.ndarr
     lam = floor * peak + power
     lam[lam == 0.0] = WEIGHT_FLOOR
     return lam
-
-
-def _summand_weight(Y: Spectrogram, t_solve: int, t_prime: int, f: int, cfg: WienerConfig) -> float:
-    if not cfg.weighted:
-        return 1.0
-    t_ref = t_solve if cfg.lambda_mode == "frozen" else t_prime
-    return 1.0 / lambda_weight(Y, t_ref, f, cfg.window_frames, cfg.floor)
-
-
-def solve_frame(Y: Spectrogram, X: Spectrogram, t: int, f: int, cfg: WienerConfig) -> np.ndarray:
-    """Tap estimate for a single unit by direct windowed normal equations.
-
-    Reference implementation of what wstws_cancel computes for every unit;
-    returns a zero vector when the loaded system is still singular.
-    """
-    _check_same_grid(Y, X)
-    taps = cfg.taps
-    A = np.zeros((taps, taps), dtype=np.complex128)
-    b = np.zeros(taps, dtype=np.complex128)
-    for tp in range(max(0, t - cfg.window_frames), t + 1):
-        w = _summand_weight(Y, t, tp, f, cfg)
-        xv = delay_stack(X, tp, f, taps)
-        A += w * np.outer(xv, xv.conj())
-        b += w * xv * np.conj(Y.data[tp, f])
-    trace = A.trace().real
-    if not np.isfinite(trace) or trace <= 0.0:
-        return np.zeros(taps, dtype=np.complex128)
-    A[np.diag_indices(taps)] += cfg.diag_load * trace / taps
-    try:
-        h = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return np.zeros(taps, dtype=np.complex128)
-    if not np.all(np.isfinite(h)):
-        return np.zeros(taps, dtype=np.complex128)
-    return h
 
 
 def _windowed_sums(cum: np.ndarray, window_frames: int) -> np.ndarray:
@@ -182,19 +131,15 @@ def wstws_cancel(
     loaded normal equations are not numerically positive definite fall back to
     a zero filter and are flagged in the filter bank.
     """
-    _check_same_grid(Y, X)
+    if Y.data.shape != X.data.shape:
+        raise ValueError(f"spectrogram shapes differ: {Y.data.shape} vs {X.data.shape}")
     n_frames, n_bins = Y.data.shape
     taps, window = cfg.taps, cfg.window_frames
 
-    if cfg.weighted and cfg.lambda_mode == "per_summand":
+    if cfg.weighted:
         weights = 1.0 / lambda_weights(Y, window, cfg.floor)
     else:
         weights = np.ones((n_frames, n_bins))
-    if cfg.weighted and cfg.lambda_mode == "frozen":
-        # one weight per solve: scales A and b jointly, applied after windowing
-        frozen_scale = 1.0 / lambda_weights(Y, window, cfg.floor)
-    else:
-        frozen_scale = None
 
     embedded = delay_embed(X.data, taps)
     h_all = np.empty((n_frames, n_bins, taps), dtype=np.complex128)
@@ -219,8 +164,6 @@ def wstws_cancel(
             np.multiply(wx[i], xc[i:], out=G[row_start[i] : row_start[i] + taps - i])
         np.multiply(wx, y.conj(), out=G[n_tri:])
         G = _windowed_sums(np.cumsum(G, axis=2, out=G), window)
-        if frozen_scale is not None:
-            G *= frozen_scale[:, sl].T
 
         diag = [G[s] for s in row_start]
         trace = sum(d.real for d in diag)

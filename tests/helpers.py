@@ -8,9 +8,7 @@ meaningful.
 import numpy as np
 from scipy.signal import lfilter
 
-from refaec import Spectrogram, StftConfig, TimeSignal
-from refaec.dsp import delay_stack
-from refaec.wiener import WienerConfig, lambda_weight
+from refaec import Spectrogram, StftConfig, TimeSignal, WienerConfig
 
 
 def speech_like(rng, n, fs=16000, peak=0.95):
@@ -54,6 +52,20 @@ def frame_loop_istft(spec):
     return num / np.maximum(den, 1e-12)
 
 
+def lambda_weight(Y: Spectrogram, t, f, window_frames, floor):
+    """Energy weight of one unit: floor times the peak power over the window
+    [t - window_frames, t] plus the unit's own power, or 1e-12 when the whole
+    window is silent."""
+    power = [abs(Y.data[tp, f]) ** 2 for tp in range(max(0, t - window_frames), t + 1)]
+    lam = floor * max(power) + power[-1]
+    return lam if lam > 0 else 1e-12
+
+
+def delay_stack(spec: Spectrogram, t, f, taps):
+    """[S(t, f), S(t-1, f), ..., S(t-taps+1, f)], frames before 0 reading as zero."""
+    return np.array([spec.data[t - k, f] if k <= t else 0.0 for k in range(taps)], dtype=complex)
+
+
 def dense_normal_equations(Y, X, t, f, cfg: WienerConfig):
     """Dense weighted normal-equations solve for one unit, built with plain
     python loops and a generic linear solve."""
@@ -61,11 +73,7 @@ def dense_normal_equations(Y, X, t, f, cfg: WienerConfig):
     A = np.zeros((taps, taps), dtype=complex)
     b = np.zeros(taps, dtype=complex)
     for tp in range(max(0, t - cfg.window_frames), t + 1):
-        if cfg.weighted:
-            ref = t if cfg.lambda_mode == "frozen" else tp
-            w = 1.0 / lambda_weight(Y, ref, f, cfg.window_frames, cfg.floor)
-        else:
-            w = 1.0
+        w = 1.0 / lambda_weight(Y, tp, f, cfg.window_frames, cfg.floor) if cfg.weighted else 1.0
         xv = delay_stack(X, tp, f, taps)
         for i in range(taps):
             b[i] += w * xv[i] * np.conj(Y.data[tp, f])
@@ -85,11 +93,7 @@ def lstsq_weighted(Y, X, t, f, cfg: WienerConfig):
     taps = cfg.taps
     rows_m, rows_y, weights = [], [], []
     for tp in range(max(0, t - cfg.window_frames), t + 1):
-        if cfg.weighted:
-            ref = t if cfg.lambda_mode == "frozen" else tp
-            w = 1.0 / lambda_weight(Y, ref, f, cfg.window_frames, cfg.floor)
-        else:
-            w = 1.0
+        w = 1.0 / lambda_weight(Y, tp, f, cfg.window_frames, cfg.floor) if cfg.weighted else 1.0
         rows_m.append(delay_stack(X, tp, f, taps))
         rows_y.append(Y.data[tp, f])
         weights.append(w)

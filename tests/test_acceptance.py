@@ -29,7 +29,6 @@ from refaec import (
     sample_kind,
     sample_room,
     sdr,
-    solve_frame,
     stft_forward,
     stft_inverse,
     synthesize_scene,
@@ -68,16 +67,10 @@ def test_criterion_1_wiener_oracle_equivalence():
         t = int(rng.integers(0, n_frames))
         f = int(rng.integers(0, cfg_stft.n_bins))
         oracle = dense_normal_equations(Y, X, t, f, cfg)
-        ours = solve_frame(Y, X, t, f, cfg)
+        ours = wstws_cancel(Y, X, cfg)[1].taps[t, f]
         err = np.linalg.norm(ours - oracle) / max(np.linalg.norm(oracle), 1e-30)
         worst = max(worst, err)
         assert err < 1e-6
-        if i % 100 == 0:  # the bulk path agrees too
-            _, bank = wstws_cancel(Y, X, cfg)
-            err_bulk = np.linalg.norm(bank.taps[t, f] - oracle) / max(
-                np.linalg.norm(oracle), 1e-30
-            )
-            assert err_bulk < 1e-6
     elapsed = time.time() - start
     assert elapsed < 60.0
     _report(1, "wiener oracle equivalence", f"{n_instances} instances, worst {worst:.2e}, {elapsed:.1f}s")

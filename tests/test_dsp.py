@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from helpers import frame_loop_istft, speech_like
+from helpers import delay_stack, frame_loop_istft, speech_like
 
-from refaec import Spectrogram, StftConfig, TimeSignal, delay_stack, stft_forward, stft_inverse
+from refaec import Spectrogram, StftConfig, TimeSignal, stft_forward, stft_inverse
 from refaec.dsp import delay_embed
 
 
@@ -135,15 +135,15 @@ def test_parseval_per_frame(rng):
 
 def test_delay_stack_zero_prehistory(rng):
     spec = Spectrogram(rng.standard_normal((8, 161)) + 1j * rng.standard_normal((8, 161)), StftConfig())
-    out = delay_stack(spec, 0, 5, 3)
+    out = delay_embed(spec.data, 3)[0, 5]
     assert out[0] == spec.data[0, 5]
     assert out[1] == 0 and out[2] == 0
 
 
 def test_delay_stack_identity_and_definition(rng):
     spec = Spectrogram(rng.standard_normal((8, 161)) + 1j * rng.standard_normal((8, 161)), StftConfig())
-    assert delay_stack(spec, 4, 7, 1)[0] == spec.data[4, 7]
-    out = delay_stack(spec, 5, 2, 2)
+    assert delay_embed(spec.data, 1)[4, 7, 0] == spec.data[4, 7]
+    out = delay_embed(spec.data, 2)[5, 2]
     assert out[0] == spec.data[5, 2] and out[1] == spec.data[4, 2]
 
 

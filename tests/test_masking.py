@@ -13,6 +13,7 @@ from refaec import (
     apply_mask,
     compute_mask,
     purify_reference,
+    wstws_cancel,
 )
 from refaec.masking import mask_from_estimates
 
@@ -152,10 +153,19 @@ def test_mask_formula_stays_in_unit_interval(far, near):
     assert 0.0 <= value <= 1.0
 
 
+def test_mask_uses_the_taps_of_its_wiener_config(rng):
+    R = random_spectrogram(rng, 40)
+    X = random_spectrogram(rng, 40)
+    cfg = WienerConfig(taps=4, window_frames=16)
+    mask = compute_mask(R, X, MaskConfig(), cfg)
+    assert not np.array_equal(mask.values, compute_mask(R, X, MaskConfig(), REF_WIENER).values)
+    near = wstws_cancel(R, X, cfg)[0].data
+    far = R.data - near
+    assert np.array_equal(mask.values, np.abs(far) / (np.abs(far) + np.abs(near)))
+
+
 def test_mask_config_validation():
     with pytest.raises(ValueError):
         MaskConfig(compression=1.5)
-    with pytest.raises(ValueError):
-        MaskConfig(ref_taps=0)
     with pytest.raises(ValueError):
         RatioMask(np.array([[1.2]]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import speech_like
 
+import refaec
 from refaec import (
     NonlinearityKind,
     RoomSpec,
@@ -318,7 +319,6 @@ def test_config_file_parsing(tmp_path):
         wiener_main.weighted = false
         wiener_ref.window_frames = 50
         mask.compression = 0.25
-        seed = 9
         """
     )
     cfg = parse_config_file(cfg_path)
@@ -326,7 +326,6 @@ def test_config_file_parsing(tmp_path):
     assert cfg.wiener_main.taps == 8 and cfg.wiener_main.weighted is False
     assert cfg.wiener_ref.window_frames == 50
     assert cfg.mask.compression == 0.25
-    assert cfg.seed == 9
     # untouched defaults survive
     assert cfg.wiener_main.window_frames == 200
     assert cfg.wiener_ref.taps == 1
@@ -340,6 +339,27 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     bad.write_text("no_equals_here\n")
     with pytest.raises(ValueError):
         parse_config_file(bad)
+    # removed settings fail like any other unknown key
+    for line in ("seed = 7", "wiener_main.lambda_mode = frozen", "mask.ref_taps = 2"):
+        bad.write_text(line + "\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config_file(bad)
+
+
+def test_config_file_ref_taps_reach_the_mask(rng, tmp_path):
+    y, x, r = (speech_like(rng, FS) for _ in range(3))
+    cfg_path = tmp_path / "ref.cfg"
+    cfg_path.write_text("wiener_ref.taps = 4\n")
+    cfg = parse_config_file(cfg_path, SMALL)
+    assert cfg.wiener_ref.taps == 4
+    base = run_linear_stage(y, x, r, SMALL).ref_masked.data
+    assert not np.array_equal(run_linear_stage(y, x, r, cfg).ref_masked.data, base)
+
+
+def test_public_names_resolve_and_are_unique():
+    assert len(set(refaec.__all__)) == len(refaec.__all__)
+    for name in refaec.__all__:
+        assert hasattr(refaec, name), name
 
 
 def test_default_run_config_matches_tuned_operating_point():

@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import dense_normal_equations, lstsq_weighted, random_spectrogram
+from helpers import dense_normal_equations, lambda_weight, lstsq_weighted, random_spectrogram
 
-from refaec import Spectrogram, StftConfig, WienerConfig, solve_frame, wstws_cancel
+from refaec import Spectrogram, StftConfig, WienerConfig, wstws_cancel
 from refaec import wiener
-from refaec.wiener import lambda_weight, lambda_weights, stws_config
+from refaec.wiener import lambda_weights, stws_config
 
 
 def _rel_err(a, b):
@@ -18,7 +18,7 @@ def test_lambda_unit_modulus_window():
     cfg = StftConfig()
     data = np.ones((30, cfg.n_bins), dtype=complex)
     Y = Spectrogram(data, cfg)
-    assert lambda_weight(Y, 20, 5, 10, 0.001) == pytest.approx(1.001, abs=1e-15)
+    assert lambda_weights(Y, 10, 0.001)[20, 5] == pytest.approx(1.001, abs=1e-15)
 
 
 def test_lambda_zero_current_unit():
@@ -26,13 +26,13 @@ def test_lambda_zero_current_unit():
     data = np.zeros((10, cfg.n_bins), dtype=complex)
     data[3, 7] = 2.0  # window max power 4
     Y = Spectrogram(data, cfg)
-    assert lambda_weight(Y, 8, 7, 8, 0.001) == pytest.approx(0.004, abs=1e-15)
+    assert lambda_weights(Y, 8, 0.001)[8, 7] == pytest.approx(0.004, abs=1e-15)
 
 
 def test_lambda_all_zero_window_floor():
     cfg = StftConfig()
     Y = Spectrogram(np.zeros((10, cfg.n_bins), dtype=complex), cfg)
-    assert lambda_weight(Y, 5, 0, 5, 0.001) == 1e-12
+    assert lambda_weights(Y, 5, 0.001)[5, 0] == 1e-12
 
 
 def test_lambda_weights_bulk_matches_single(rng):
@@ -48,9 +48,8 @@ def test_zero_excitation_returns_zero_filter_and_input_residual(rng):
     Y = random_spectrogram(rng, 25)
     X = Spectrogram(np.zeros_like(Y.data), Y.config)
     cfg = WienerConfig(taps=3, window_frames=8)
-    h = solve_frame(Y, X, 10, 5, cfg)
-    assert np.all(h == 0)
     residual, bank = wstws_cancel(Y, X, cfg)
+    assert np.all(bank.taps[10, 5] == 0)
     assert np.array_equal(residual.data, Y.data)
     assert bank.degenerate.all()
 
@@ -61,7 +60,8 @@ def test_single_tap_recovers_conjugate_scale(rng):
     Y = X.like(c * X.data)
     # closed-form solution check, so regularization is switched off
     cfg = WienerConfig(taps=1, window_frames=16, diag_load=0.0)
-    h = solve_frame(Y, X, 30, 50, cfg)
+    _, bank = wstws_cancel(Y, X, cfg)
+    h = bank.taps[30, 50]
     assert abs(h[0] - np.conj(c)) / abs(c) < 1e-8
 
 
@@ -69,8 +69,10 @@ def test_solve_frame_matches_lstsq_oracle(rng):
     cfg = WienerConfig(taps=4, window_frames=16)
     Y = random_spectrogram(rng, 30)
     X = random_spectrogram(rng, 30)
+    _, bank = wstws_cancel(Y, X, cfg)
+    # t = 0 sees a window truncated to one frame
     for t, f in [(0, 10), (7, 3), (20, 100), (29, 160)]:
-        ours = solve_frame(Y, X, t, f, cfg)
+        ours = bank.taps[t, f]
         oracle = lstsq_weighted(Y, X, t, f, cfg)
         assert _rel_err(ours, oracle) < 1e-6
 
@@ -90,7 +92,6 @@ def test_oracle_equivalence_property(rng, taps, window_mult):
             f = int(rng.integers(0, Y.n_bins))
             oracle = dense_normal_equations(Y, X, t, f, cfg)
             assert _rel_err(bank.taps[t, f], oracle) < 1e-6
-            assert _rel_err(solve_frame(Y, X, t, f, cfg), oracle) < 1e-6
 
 
 def test_unloaded_solve_flags_exactly_the_rank_deficient_frames(rng):
@@ -186,10 +187,9 @@ def _zero_band_no_load(Y, X, cfg):
     [
         lambda Y, X, cfg: cfg,
         lambda Y, X, cfg: stws_config(cfg),
-        lambda Y, X, cfg: replace(cfg, lambda_mode="frozen"),
         _zero_band_no_load,
     ],
-    ids=["weighted", "stws", "frozen", "zero_band_no_load"],
+    ids=["weighted", "stws", "zero_band_no_load"],
 )
 def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
     Y = random_spectrogram(rng, 40)
@@ -233,15 +233,6 @@ def test_weighted_equals_unweighted_for_constant_modulus(rng):
     assert np.linalg.norm(bank_w.taps - bank_u.taps) / denom < 1e-8
 
 
-def test_frozen_lambda_mode_matches_direct_solve(rng):
-    Y = random_spectrogram(rng, 25)
-    X = random_spectrogram(rng, 25)
-    cfg = WienerConfig(taps=2, window_frames=6, lambda_mode="frozen")
-    _, bank = wstws_cancel(Y, X, cfg)
-    for t, f in [(0, 4), (10, 50), (24, 160)]:
-        assert _rel_err(bank.taps[t, f], solve_frame(Y, X, t, f, cfg)) < 1e-9
-
-
 def test_residual_energy_monotone_in_taps(rng):
     true_taps = 4
     n_frames = 200
@@ -270,8 +261,6 @@ def test_config_validation():
         WienerConfig(floor=0.0)
     with pytest.raises(ValueError):
         WienerConfig(diag_load=-1e-9)
-    with pytest.raises(ValueError):
-        WienerConfig(lambda_mode="sometimes")
 
 
 def test_shape_mismatch_raises(rng):
