@@ -13,7 +13,7 @@ from .dsp import (
     stft_forward,
     stft_inverse,
 )
-from .masking import MaskConfig, RatioMask, apply_mask, compute_mask, purify_reference
+from .masking import MaskConfig, RatioMask, apply_mask, compute_mask
 from .metrics import (
     MetricReport,
     combined_loss,
@@ -84,7 +84,6 @@ __all__ = [
     "image_method_rir",
     "mix_at_ser",
     "polynomial",
-    "purify_reference",
     "read_features",
     "ri_mag_loss",
     "run_linear_stage",

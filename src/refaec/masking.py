@@ -73,9 +73,3 @@ def apply_mask(R: Spectrogram, mask: RatioMask, compression: float) -> Spectrogr
         raise ValueError("mask and spectrogram shapes differ")
     return R.like(mask.values**compression * R.data)
 
-
-def purify_reference(
-    R: Spectrogram, X: Spectrogram, cfg: MaskConfig, wiener_cfg: WienerConfig
-) -> Spectrogram:
-    """Masked reference: compute_mask followed by apply_mask."""
-    return apply_mask(R, compute_mask(R, X, cfg, wiener_cfg), cfg.compression)

@@ -276,6 +276,15 @@ def image_method_rir(
     return _lattice_rir(*_image_lattice(room, src, mic, sample_rate), beta)
 
 
+def _convolve(samples: np.ndarray, rir: np.ndarray, n: int) -> np.ndarray:
+    """The first n samples of samples convolved with rir. A silent input
+    skips the FFTs and gives +0.0 throughout, equal in value to the FFT result
+    (which can hold an isolated -0.0 for some filters and lengths)."""
+    if not samples.any():
+        return np.zeros(n)
+    return fftconvolve(samples, rir)[:n]
+
+
 def split_direct(
     v: TimeSignal, rir: np.ndarray, split_ms: float = DEFAULT_SPLIT_MS
 ) -> tuple[TimeSignal, TimeSignal]:
@@ -296,8 +305,8 @@ def split_direct(
     early = rir.copy()
     early[cut:] = 0.0
     late = rir - early
-    s_direct = fftconvolve(v.samples, early)[: len(v)]
-    s_late = fftconvolve(v.samples, late)[: len(v)]
+    s_direct = _convolve(v.samples, early, len(v))
+    s_late = _convolve(v.samples, late, len(v))
     return TimeSignal(s_direct, v.sample_rate), TimeSignal(s_late, v.sample_rate)
 
 
@@ -385,9 +394,9 @@ def synthesize_scene(
     x_nl = apply_nonlinearity(x, kind)
     s_direct, s_reverb = split_direct(v, h1, split_ms)
     s = TimeSignal(s_direct.samples + s_reverb.samples, fs)
-    d_raw = fftconvolve(x_nl.samples, h2)[:n]
-    r_far_raw = fftconvolve(x_nl.samples, h4)[:n]
-    r_near = TimeSignal(fftconvolve(v.samples, h3)[:n], fs)
+    d_raw = _convolve(x_nl.samples, h2, n)
+    r_far_raw = _convolve(x_nl.samples, h4, n)
+    r_near = TimeSignal(_convolve(v.samples, h3, n), fs)
 
     if s.energy() > 0.0 and float(np.dot(d_raw, d_raw)) > 0.0 and ser_db is not None:
         _, gain = mix_at_ser(s, TimeSignal(d_raw, fs), ser_db)

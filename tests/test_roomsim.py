@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import image_source_rir, schroeder_t60, speech_like
+from scipy.signal import fftconvolve
 
 from refaec import (
     NonlinearityKind,
@@ -14,6 +15,7 @@ from refaec import (
     split_direct,
     synthesize_scene,
 )
+from refaec import roomsim
 from refaec.roomsim import (
     GeometryError,
     MixingError,
@@ -198,6 +200,42 @@ def test_scene_near_end_single_talk(rng):
     assert np.array_equal(scene.y.samples, scene.s.samples)
     assert np.array_equal(scene.r.samples, scene.r_near.samples)
     assert np.all(scene.d.samples == 0)
+
+
+_SCENE_SIGNALS = ("x", "x_nl", "v", "s", "s_direct", "s_reverb", "d", "y", "r", "r_far", "r_near")
+
+
+@pytest.mark.parametrize("silent_side, convolutions", [("near", 2), ("far", 3)])
+def test_single_talk_skips_silent_convolutions_bit_for_bit(
+    rng, monkeypatch, silent_side, convolutions
+):
+    # a silent source is not convolved, and the scene still matches the one
+    # that convolves every source, sign bits of zeros included
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fftconvolve(*args)
+
+    for _ in range(3):
+        room = sample_room(rng)
+        geom = sample_geometry(room, rng)
+        talk = speech_like(rng, FS)
+        silent = TimeSignal(np.zeros(FS))
+        v, x = (silent, talk) if silent_side == "near" else (talk, silent)
+        kind = NonlinearityKind("hard_clip_sigmoid")
+        with monkeypatch.context() as m:
+            m.setattr(roomsim, "fftconvolve", counted)
+            fast = synthesize_scene(room, geom, v, x, kind, None, duration=1.0)
+        assert len(calls) == convolutions
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(roomsim, "_convolve", lambda a, h, n: fftconvolve(a, h)[:n])
+            full = synthesize_scene(room, geom, v, x, kind, None, duration=1.0)
+        for name in _SCENE_SIGNALS:
+            a, b = getattr(fast, name).samples, getattr(full, name).samples
+            assert np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 def test_scene_additivity_and_ser(rng):

@@ -1,4 +1,6 @@
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -157,22 +159,36 @@ def test_causality_bit_identical_prefix(rng):
     assert np.array_equal(bank_a.taps[:t_perturb], bank_b.taps[:t_perturb])
 
 
-def _split_work(monkeypatch, chunk_bytes, workers):
-    """Set the chunk budget (and with it the frame-bin floor) and the worker
-    count; returns the ids of the threads that build window sums (one call per
-    chunk)."""
+def _split_work(monkeypatch, chunk_bytes, workers, cap=None):
+    """Set the chunk budget (and with it the frame-bin floor), the per-worker
+    cap (by default the budget too) and the worker count. Returns the ids of
+    the threads that build window sums (one call per chunk) and the size of
+    each thread pool started. Pool threads wait until the calling thread has
+    taken a chunk, so that it always takes one; after 10 s they stop waiting."""
     monkeypatch.setattr(wiener, "_CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(wiener, "_CHUNK_UNITS", chunk_bytes)
+    monkeypatch.setattr(wiener, "_WORKER_BYTES", chunk_bytes if cap is None else cap)
     monkeypatch.setattr(wiener, "_n_workers", lambda: workers)
     real = wiener._windowed_sums
-    threads = []
+    caller = threading.get_ident()
+    go = threading.Event()
+    threads, pools = [], []
 
     def recorded(cum, window_frames):
         threads.append(threading.get_ident())
+        if threads[-1] != caller:
+            go.wait(timeout=10)
+        go.set()
         return real(cum, window_frames)
 
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
     monkeypatch.setattr(wiener, "_windowed_sums", recorded)
-    return threads
+    monkeypatch.setattr(wiener, "ThreadPoolExecutor", RecordedPool)
+    return threads, pools
 
 
 def _zero_band_no_load(Y, X, cfg):
@@ -197,27 +213,87 @@ def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
     cfg = variant(Y, X, WienerConfig(taps=3, window_frames=8))
 
     with monkeypatch.context() as m:
-        threads = _split_work(m, 1 << 62, 1)
+        threads, pools = _split_work(m, 1 << 62, 1)
         res_a, bank_a = wstws_cancel(Y, X, cfg)
-        assert len(threads) == 1
+        assert len(threads) == 1 and not pools
+    # one-bin chunks on more threads than CPUs, switching often: every chunk
+    # is taken exactly once, by the calling thread and a pool of 7
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        with monkeypatch.context() as m:
+            threads, pools = _split_work(m, 1, 8)
+            res_b, bank_b = wstws_cancel(Y, X, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == Y.n_bins
+    assert len(set(threads)) > 1 and threading.get_ident() in threads
+    assert pools == [7]
+    # the cap alone sets the chunk: 16 chunks of 10 bins and one of 1
+    bin_bytes = 16 * (cfg.taps * (cfg.taps + 3) // 2) * Y.n_frames
     with monkeypatch.context() as m:
-        threads = _split_work(m, 1, 4)
-        res_b, bank_b = wstws_cancel(Y, X, cfg)
-        assert len(threads) == Y.n_bins
-        assert len(set(threads)) > 1
+        threads, pools = _split_work(m, 1 << 62, 3, cap=10 * bin_bytes + bin_bytes // 2)
+        res_c, bank_c = wstws_cancel(Y, X, cfg)
+        assert len(threads) == 17 and threading.get_ident() in threads
+        assert pools == [2]
 
-    assert np.array_equal(res_a.data, res_b.data)
-    assert np.array_equal(bank_a.taps, bank_b.taps)
-    assert np.array_equal(bank_a.degenerate, bank_b.degenerate)
+    for res, bank in ((res_b, bank_b), (res_c, bank_c)):
+        assert np.array_equal(res_a.data, res.data)
+        assert np.array_equal(bank_a.taps, bank.taps)
+        assert np.array_equal(bank_a.degenerate, bank.degenerate)
     if cfg.diag_load == 0.0:
         assert bank_b.degenerate[:, 40:60].all()
         assert bank_b.degenerate[:, :40].any() and not bank_b.degenerate[:, :40].all()
 
 
+# bins per chunk on 161 bins and 2 CPUs
+@pytest.mark.parametrize(
+    "taps, n_frames, bins",
+    [
+        (1, 249, 81),
+        (1, 599, 81),
+        (6, 599, 8),
+        (8, 249, 17),
+        (20, 99, 24),
+        (20, 599, 4),
+        (20, 6000, 1),
+    ],
+)
+def test_chunk_plan(taps, n_frames, bins):
+    assert wiener._chunk_bins(taps, n_frames, 161, 2) == bins
+    bin_bytes = 16 * (taps * (taps + 3) // 2) * n_frames
+    cap = wiener._WORKER_BYTES
+    assert bins * bin_bytes <= cap or (bins == 1 and bin_bytes > cap)
+    # the cap is the 20-tap chunk of a 6 s scene
+    assert cap == 4 * 16 * 230 * 599
+
+
 def test_causality_prefix_with_split_chunks(rng, monkeypatch):
-    threads = _split_work(monkeypatch, 1, 3)
+    threads, pools = _split_work(monkeypatch, 1, 3)
     test_causality_bit_identical_prefix(rng)
     assert len(threads) == 2 * StftConfig().n_bins
+    assert pools == [2, 2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="window sums subtract running sums, and the 1e12 weights of a silent "
+    "mic prefix swamp the frames after it (worst error 1.9e-3)",
+)
+def test_silent_mic_prefix_matches_dense_oracle(rng):
+    stft = StftConfig(window_len=28, hop=14)  # 15 bins
+    Y = random_spectrogram(rng, 120, stft)
+    X = random_spectrogram(rng, 120, stft)
+    Y.data[:40] = 0.0
+    cfg = WienerConfig(taps=4, window_frames=20)
+    _, bank = wstws_cancel(Y, X, cfg)
+    worst = max(
+        _rel_err(bank.taps[t, f], dense_normal_equations(Y, X, t, f, cfg))
+        for t in range(Y.n_frames)
+        for f in range(Y.n_bins)
+    )
+    assert worst <= 1e-8
 
 
 def test_weighted_equals_unweighted_for_constant_modulus(rng):
