@@ -17,7 +17,6 @@ tests/helpers.py.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -30,19 +29,14 @@ WEIGHT_FLOOR = 1e-12
 
 # Bins are solved in chunks. A chunk's buffer holds, per bin and frame, the
 # packed upper triangle of the tap covariance and the cross-correlation
-# vector, 16 * (taps * (taps + 3) / 2) * frames * bins bytes. It stays near
+# vector, 16 * (taps * (taps + 3) / 2) * frames * bins bytes; it stays near
 # _CHUNK_BYTES so each worker's passes over it run from cache, but spans at
-# least _CHUNK_UNITS frame-bins, so that every numpy call is long enough to
-# amortise its interpreter overhead and to overlap with the other workers'.
-# The floor gives way to _WORKER_BYTES, the most one worker's buffer may take
-# (the 20-tap chunk of a 6 s scene: 4 bins of 599 frames); a single bin may
-# exceed it. Every chunk holds at least one bin, and every worker gets at
-# least one chunk. Every bin's arithmetic is the same whatever the chunking,
-# so outputs do not depend on the budget, the floor, the cap or the worker
-# count.
-_CHUNK_BYTES = 2 * 1024 * 1024
-_CHUNK_UNITS = 4096
-_WORKER_BYTES = 16 * 230 * 4 * 599
+# least _CHUNK_UNITS frame-bins so every numpy call has enough elements to
+# amortise its interpreter overhead. At least one bin per chunk, at least one
+# chunk per worker. Every bin's arithmetic is the same whatever the chunking,
+# so outputs do not depend on the budget, the floor or the worker count.
+_CHUNK_BYTES = 3 * 1024 * 1024
+_CHUNK_UNITS = 2048
 
 
 def _n_workers() -> int:
@@ -127,10 +121,10 @@ def _windowed_sums(cum: np.ndarray, window_frames: int) -> np.ndarray:
 
 
 def _chunk_bins(taps: int, n_frames: int, n_bins: int, workers: int) -> int:
-    """Bins per chunk under the budget, floor and cap described above."""
+    """Bins per chunk under the budget and floor described above."""
     bin_bytes = 16 * (taps * (taps + 3) // 2) * n_frames
     bins = max(_CHUNK_BYTES // bin_bytes, -(-_CHUNK_UNITS // n_frames))
-    return max(1, min(bins, _WORKER_BYTES // bin_bytes, -(-n_bins // workers)))
+    return max(1, min(bins, -(-n_bins // workers)))
 
 
 def wstws_cancel(
@@ -168,7 +162,8 @@ def wstws_cancel(
 
     def solve_chunk(sl: slice) -> None:
         # frame-innermost layout [entry, bin, frame]: x[k, f, t] = X[t - k, f]
-        x = np.ascontiguousarray(embedded[:, sl, :].transpose(2, 1, 0))
+        # a copy, never a view of embedded, because it is conjugated in place
+        x = embedded[:, sl, :].transpose(2, 1, 0).copy()
         y = np.ascontiguousarray(Y.data[:, sl].T)
         wx = x * weights[:, sl].T
         # from here on x holds conj(X); the prediction below conjugates back
@@ -230,30 +225,13 @@ def wstws_cancel(
     workers = _n_workers()
     chunk = _chunk_bins(taps, n_frames, n_bins, workers)
     slices = [slice(lo, min(n_bins, lo + chunk)) for lo in range(0, n_bins, chunk)]
-    helpers = min(workers, len(slices)) - 1
-    if not helpers:
+    if len(slices) == 1 or workers == 1:
         for sl in slices:
             solve_chunk(sl)
     else:
-        # The calling thread takes chunks alongside the pool's threads; numpy
-        # releases the GIL inside its long passes, and each chunk writes only
-        # its own bins.
-        pending = iter(slices)
-        lock = threading.Lock()
-
-        def drain() -> None:
-            while True:
-                with lock:
-                    sl = next(pending, None)
-                if sl is None:
-                    return
-                solve_chunk(sl)
-
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-        for future in futures:
-            future.result()
+        # numpy's kernels release the GIL; each chunk writes only its own bins
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(solve_chunk, slices))
 
     return Y.like(residual), FilterBank(h_all, degenerate)
 

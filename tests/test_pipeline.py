@@ -46,6 +46,15 @@ def _write_corpus(rng, directory, count, n=FS):
         write_wav(directory / f"clip_{i}.wav", speech_like(rng, n))
 
 
+def test_one_frame_signals_run(rng):
+    # the shortest input the stage takes: one STFT window, one frame
+    n = RunConfig().stft.window_len
+    y, x, r = (speech_like(rng, n) for _ in range(3))
+    bundle = run_linear_stage(y, x, r)
+    assert bundle.mic.data.shape[0] == 1
+    assert np.isfinite(bundle.resid_ref_masked.data).all()
+
+
 def test_zero_far_end_chain(rng):
     y = speech_like(rng, FS)
     x = TimeSignal(np.zeros(FS))
