@@ -16,9 +16,7 @@ from .dsp import (
 from .masking import MaskConfig, RatioMask, apply_mask, compute_mask
 from .metrics import (
     MetricReport,
-    combined_loss,
     erle,
-    evaluate_scene,
     ri_mag_loss,
     s_sisnr,
     sdr,
@@ -74,10 +72,8 @@ __all__ = [
     "WienerConfig",
     "apply_mask",
     "apply_nonlinearity",
-    "combined_loss",
     "compute_mask",
     "erle",
-    "evaluate_scene",
     "exponential",
     "export_features",
     "hard_clip",

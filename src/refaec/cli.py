@@ -83,6 +83,8 @@ def _cmd_synth(args) -> int:
     for label, d in (("near-end corpus", args.corpus_near), ("far-end corpus", args.corpus_far)):
         if not Path(d).is_dir():
             raise CliError(f"{label} directory not found: {d}")
+    if args.count < 1:
+        raise CliError(f"--count must be >= 1, got {args.count}")
     manifest = synth_dataset(
         count=args.count,
         matched=args.matched,

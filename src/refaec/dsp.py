@@ -37,10 +37,6 @@ class TimeSignal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def energy(self) -> float:
         return float(np.dot(self.samples, self.samples))
 

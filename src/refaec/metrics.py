@@ -1,7 +1,10 @@
-"""Evaluation metrics and the training-style losses as standalone measures.
+"""Evaluation metrics: echo reduction, signal-to-distortion ratio, stretched
+scale-invariant SNR and a compressed complex-spectrum distance.
 
 All log-ratio metrics share a 1e-12 energy floor and a 100 dB cap so reports
-stay finite for perfect or degenerate estimates.
+stay finite for perfect or degenerate estimates. Sums of products go through
+numpy's pairwise summation rather than BLAS, whose summation order depends on
+its thread count, so reports are the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Spectrogram, StftConfig, TimeSignal, stft_forward
-from .roomsim import Scene
 
 ENERGY_FLOOR = 1e-12
 DB_CAP = 100.0
@@ -39,10 +41,14 @@ def _log_ratio_db(num: float, den: float) -> float:
     return float(min(10.0 * np.log10((num + ENERGY_FLOOR) / (den + ENERGY_FLOOR)), DB_CAP))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sum(a * b))
+
+
 def erle(y: TimeSignal, e: TimeSignal) -> float:
     """Echo reduction in dB: pre-cancellation mic signal y against residual e."""
     _check_lengths(y, e)
-    return _log_ratio_db(y.energy(), e.energy())
+    return _log_ratio_db(_dot(y.samples, y.samples), _dot(e.samples, e.samples))
 
 
 def sdr(target: TimeSignal, estimate: TimeSignal) -> float:
@@ -50,7 +56,7 @@ def sdr(target: TimeSignal, estimate: TimeSignal) -> float:
     distortion filter."""
     _check_lengths(target, estimate)
     err = target.samples - estimate.samples
-    return _log_ratio_db(target.energy(), float(np.dot(err, err)))
+    return _log_ratio_db(_dot(target.samples, target.samples), _dot(err, err))
 
 
 def s_sisnr(target: TimeSignal, estimate: TimeSignal) -> float:
@@ -62,11 +68,11 @@ def s_sisnr(target: TimeSignal, estimate: TimeSignal) -> float:
     _check_lengths(target, estimate)
     t = target.samples - np.mean(target.samples)
     e = estimate.samples - np.mean(estimate.samples)
-    nt = np.linalg.norm(t)
-    ne = np.linalg.norm(e)
+    nt = np.sqrt(_dot(t, t))
+    ne = np.sqrt(_dot(e, e))
     if nt == 0.0 or ne == 0.0:
         raise ValueError("s_sisnr needs nonzero (non-constant) signals")
-    cos = float(np.clip(np.dot(t, e) / (nt * ne), -1.0, 1.0))
+    cos = float(np.clip(_dot(t, e) / (nt * ne), -1.0, 1.0))
     with np.errstate(divide="ignore"):
         value = 10.0 * np.log10((1.0 + cos) / (1.0 - cos)) if cos < 1.0 else np.inf
     return float(np.clip(value, -DB_CAP, DB_CAP))
@@ -93,42 +99,11 @@ def ri_mag_loss(S: Spectrogram, S_hat: Spectrogram, p: float = 0.5) -> float:
     return l_ri + l_mag
 
 
-def s_sisnr_loss(target: TimeSignal, estimate: TimeSignal) -> float:
-    """Negated s_sisnr, so that lower is better."""
-    return -s_sisnr(target, estimate)
-
-
-def combined_loss(
-    S: Spectrogram,
-    S_hat: Spectrogram,
-    s: TimeSignal,
-    s_hat: TimeSignal,
-    alpha: float = 0.01,
-    p: float = 0.5,
-) -> float:
-    """Spectral loss plus alpha times the (negated) stretched SI-SNR."""
-    return ri_mag_loss(S, S_hat, p) + alpha * s_sisnr_loss(s, s_hat)
-
-
-def infer_scenario(scene: Scene) -> str:
-    talker = scene.v.energy() > 0.0
-    far_end = scene.x.energy() > 0.0
-    if talker and far_end:
-        return "DT"
-    if talker:
-        return "ST_NE"
-    if far_end:
-        return "ST_FE"
-    raise ValueError("scene has neither near-end nor far-end activity")
-
-
 def evaluate_estimate(
     scenario: str,
     y: TimeSignal,
     s_direct: TimeSignal,
     estimate: TimeSignal,
-    stft_cfg: StftConfig | None = None,
-    p: float = 0.5,
 ) -> MetricReport:
     """Scores for one estimate given the scenario and the reference signals.
 
@@ -139,25 +114,12 @@ def evaluate_estimate(
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario == "ST_FE":
         return MetricReport(scenario=scenario, erle_db=erle(y, estimate))
-    cfg = stft_cfg or StftConfig()
+    cfg = StftConfig()
     return MetricReport(
         scenario=scenario,
         sdr_db=sdr(s_direct, estimate),
         s_sisnr_db=s_sisnr(s_direct, estimate),
-        ri_mag_loss=ri_mag_loss(stft_forward(s_direct, cfg), stft_forward(estimate, cfg), p),
-    )
-
-
-def evaluate_scene(
-    scene: Scene,
-    estimate: TimeSignal,
-    stft_cfg: StftConfig | None = None,
-    p: float = 0.5,
-) -> MetricReport:
-    """Scenario-aware scoring of an estimate against a synthesized scene."""
-    _check_lengths(scene.y, estimate)
-    return evaluate_estimate(
-        infer_scenario(scene), scene.y, scene.s_direct, estimate, stft_cfg, p
+        ri_mag_loss=ri_mag_loss(stft_forward(s_direct, cfg), stft_forward(estimate, cfg)),
     )
 
 

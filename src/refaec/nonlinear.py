@@ -16,8 +16,8 @@ from .dsp import TimeSignal
 MATCHED_FAMILIES = ("saturating", "exponential", "polynomial")
 MISMATCHED_FAMILIES = ("hard_clip_sigmoid", "soft_clip_sigmoid")
 
-DEFAULT_CLIP_THRESHOLD = 0.7
-DEFAULT_SOFT_CLIP_SHAPE = 2.0
+CLIP_THRESHOLD = 0.7
+SOFT_CLIP_SHAPE = 2.0
 SIGMOID_GAIN = 2.0
 
 _B_RANGE = (2.0, 5.0)
@@ -62,40 +62,27 @@ def _polynomial_raw(x, a: float):
     return 2.0 * a * x + a * x * x + x**3
 
 
-def polynomial(x, b: float, log_base: str = "ln"):
-    """Cubic response 2a*x + a*x^2 + x^3 with a = log(b/10) + 0.1.
-
-    The logarithm defaults to natural log; pass log_base="log10" for the
-    base-10 reading.
-    """
-    if log_base == "ln":
-        a = np.log(b / 10.0) + 0.1
-    elif log_base == "log10":
-        a = np.log10(b / 10.0) + 0.1
-    else:
-        raise ValueError("log_base must be 'ln' or 'log10'")
-    return _polynomial_raw(x, a)
+def polynomial(x, b: float):
+    """Cubic response 2a*x + a*x^2 + x^3 with a = ln(b/10) + 0.1."""
+    return _polynomial_raw(x, np.log(b / 10.0) + 0.1)
 
 
-def hard_clip(x, x_max: float = DEFAULT_CLIP_THRESHOLD):
-    """Clamp to [-x_max, x_max]."""
-    if x_max <= 0:
-        raise ValueError("x_max must be > 0")
-    return np.clip(np.asarray(x, dtype=np.float64), -x_max, x_max)
+def hard_clip(x):
+    """Clamp to [-CLIP_THRESHOLD, CLIP_THRESHOLD]."""
+    return np.clip(np.asarray(x, dtype=np.float64), -CLIP_THRESHOLD, CLIP_THRESHOLD)
 
 
-def soft_clip(x, x_max: float = DEFAULT_CLIP_THRESHOLD, rho: float = DEFAULT_SOFT_CLIP_SHAPE):
-    """Gradual limiter x*x_max/sqrt(|x_max|^rho + |x|^rho); odd, |out| < x_max.
+def soft_clip(x):
+    """Gradual limiter x*c/sqrt(c^rho + |x|^rho) with c = CLIP_THRESHOLD and
+    rho = SOFT_CLIP_SHAPE; odd, |out| < c.
 
     The denominator takes the square root of the rho-power sum, so rho = 2
-    (the default shape) gives the familiar x_max/sqrt(x_max^2 + x^2) roll-off.
+    gives the familiar c/sqrt(c^2 + x^2) roll-off.
     """
-    if x_max <= 0:
-        raise ValueError("x_max must be > 0")
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
     x = np.asarray(x, dtype=np.float64)
-    return x * x_max / np.sqrt(np.abs(x_max) ** rho + np.abs(x) ** rho)
+    return x * CLIP_THRESHOLD / np.sqrt(
+        CLIP_THRESHOLD**SOFT_CLIP_SHAPE + np.abs(x) ** SOFT_CLIP_SHAPE
+    )
 
 
 def sigmoid_stage(x):

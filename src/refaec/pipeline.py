@@ -226,10 +226,10 @@ def _scene_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
 
 
-def _load_corpus_clip(path, rng: np.random.Generator, n: int, sample_rate: int) -> TimeSignal:
+def _load_corpus_clip(path, rng: np.random.Generator, n: int) -> TimeSignal:
     sig = read_wav(path)
-    if sig.sample_rate != sample_rate:
-        raise ValueError(f"{path}: expected {sample_rate} Hz, got {sig.sample_rate}")
+    if sig.sample_rate != DEFAULT_SAMPLE_RATE:
+        raise ValueError(f"{path}: expected {DEFAULT_SAMPLE_RATE} Hz, got {sig.sample_rate}")
     x = sig.samples
     if len(x) > n:
         offset = int(rng.integers(0, len(x) - n + 1))
@@ -239,7 +239,7 @@ def _load_corpus_clip(path, rng: np.random.Generator, n: int, sample_rate: int) 
     peak = np.max(np.abs(x))
     if peak > 0:
         x = x * (CORPUS_PEAK / peak)
-    return TimeSignal(x, sample_rate)
+    return TimeSignal(x, DEFAULT_SAMPLE_RATE)
 
 
 def _list_corpus(directory) -> list[Path]:
@@ -253,9 +253,7 @@ def _nonlinearity_record(kind: NonlinearityKind) -> dict:
     return {"family": kind.family, "b": kind.b}
 
 
-def _synth_scene(
-    index: int, *, seed, matched, out, near_files, far_files, duration, sample_rate
-) -> dict:
+def _synth_scene(index: int, *, seed, matched, out, near_files, far_files, duration) -> dict:
     """Synthesize and write scene `index`; returns its manifest record."""
     rng = _scene_rng(seed, index)
     scene_id = f"scene_{index:06d}"
@@ -265,9 +263,9 @@ def _synth_scene(
     ser_db = int(SER_GRID_DB[rng.integers(len(SER_GRID_DB))])
     near_path = near_files[rng.integers(len(near_files))]
     far_path = far_files[rng.integers(len(far_files))]
-    n = int(round(duration * sample_rate))
-    v = _load_corpus_clip(near_path, rng, n, sample_rate)
-    x = _load_corpus_clip(far_path, rng, n, sample_rate)
+    n = int(round(duration * DEFAULT_SAMPLE_RATE))
+    v = _load_corpus_clip(near_path, rng, n)
+    x = _load_corpus_clip(far_path, rng, n)
 
     scene = synthesize_scene(room, geom, v, x, kind, ser_db, seed=index, duration=duration)
 
@@ -299,7 +297,7 @@ def _synth_scene(
         "echo_gain": scene.echo_gain,
         "scenario": "DT",
         "duration": duration,
-        "sample_rate": sample_rate,
+        "sample_rate": DEFAULT_SAMPLE_RATE,
         "corpus": {"near": near_path.name, "far": far_path.name},
     }
 
@@ -312,11 +310,13 @@ def synth_dataset(
     corpus_near,
     corpus_far,
     duration: float = 6.0,
-    sample_rate: int = 16000,
 ) -> Path:
-    """Synthesize `count` double-talk scenes and write waveforms plus a
-    manifest. Every scene is reproducible from the base seed and its index,
-    so reruns are byte-identical."""
+    """Synthesize `count` double-talk scenes from corpus clips at
+    DEFAULT_SAMPLE_RATE and write waveforms plus a manifest. Every scene is
+    reproducible from the base seed and its index, so reruns are
+    byte-identical."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     near_files = _list_corpus(corpus_near)
@@ -330,7 +330,6 @@ def synth_dataset(
         near_files=near_files,
         far_files=far_files,
         duration=duration,
-        sample_rate=sample_rate,
     )
     records = []
     for lo in range(0, count, CALIBRATION_CACHE_SIZE):
@@ -338,7 +337,7 @@ def synth_dataset(
         # calibrate the rooms before the workers fork: they inherit the warm
         # cache, so each room is calibrated once, here
         for index in indices:
-            calibrated_reflectivity(sample_room(_scene_rng(seed, index)), sample_rate)
+            calibrated_reflectivity(sample_room(_scene_rng(seed, index)))
         records += _map_scenes(synth, indices)
 
     manifest = out / MANIFEST_NAME
@@ -391,12 +390,7 @@ def run_dataset(
     return _map_scenes(run, read_manifest(manifest_path))
 
 
-def eval_dataset(
-    manifest_path,
-    estimates_dir,
-    report_path,
-    stft_cfg: StftConfig | None = None,
-) -> list[dict]:
+def eval_dataset(manifest_path, estimates_dir, report_path) -> list[dict]:
     """Score `<scene_id>.wav` estimates against the dataset ground truth and
     write one JSON record per scene."""
     manifest_path = Path(manifest_path)
@@ -417,7 +411,6 @@ def eval_dataset(
             TimeSignal(y.samples[:n], y.sample_rate),
             TimeSignal(s_direct.samples[:n], s_direct.sample_rate),
             TimeSignal(estimate.samples[:n], estimate.sample_rate),
-            stft_cfg,
         )
         rows.append(report_record(report, scene_id))
     report_path = Path(report_path)
@@ -460,10 +453,15 @@ def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
             sub = sections.get(section)
             if sub is None or fname not in {f.name for f in dataclasses.fields(sub)}:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = type(getattr(sub, fname))
-            overrides.setdefault(section, {})[fname] = _coerce(value, ftype)
-    replaced = {
-        name: dataclasses.replace(sections[name], **fields)
-        for name, fields in overrides.items()
-    }
+            try:
+                coerced = _coerce(value, type(getattr(sub, fname)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
+            overrides.setdefault(section, {})[fname] = coerced
+    replaced = {}
+    for name, fields in overrides.items():
+        try:
+            replaced[name] = dataclasses.replace(sections[name], **fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {name}: {exc}") from exc
     return dataclasses.replace(cfg, **replaced)

@@ -17,7 +17,9 @@ from .nonlinear import NonlinearityKind, apply_nonlinearity
 WALL_MARGIN = 0.1
 REF_SHELL_RADII = (0.05, 0.2)
 MIN_SOURCE_MIC_DIST = 0.01
-DEFAULT_SPLIT_MS = 50.0
+SPEED_OF_SOUND = 343.0  # m/s
+SPLIT_MS = 50.0  # direct/early part of a talker response, after its onset
+DECAY_FIT_DB = (5.0, 25.0)  # Schroeder-curve span fitted for the decay time
 DEFAULT_DURATION = 6.0
 
 LENGTH_RANGE = (4.0, 8.0)
@@ -38,18 +40,12 @@ class MixingError(ValueError):
 
 @dataclass(frozen=True)
 class RoomSpec:
-    """Rectangular room with a target decay time.
-
-    max_order caps the total reflection count per image (None lets the
-    impulse-response length decide).
-    """
+    """Rectangular room with a target decay time."""
 
     length: float
     width: float
     height: float
     t60: float
-    speed_of_sound: float = 343.0
-    max_order: int | None = None
 
     def __post_init__(self):
         if not LENGTH_RANGE[0] <= self.length <= LENGTH_RANGE[1]:
@@ -60,8 +56,6 @@ class RoomSpec:
             raise ValueError(f"height {self.height} outside {HEIGHT_RANGE}")
         if self.t60 <= 0:
             raise ValueError("t60 must be > 0")
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be > 0")
 
     @property
     def dims(self) -> np.ndarray:
@@ -74,7 +68,7 @@ class RoomSpec:
         l, w, h = self.length, self.width, self.height
         volume = l * w * h
         surface = 2.0 * (l * w + l * h + w * h)
-        sabine_const = 24.0 * np.log(10.0) / self.speed_of_sound
+        sabine_const = 24.0 * np.log(10.0) / SPEED_OF_SOUND
         absorption = 1.0 - np.exp(-sabine_const * volume / (surface * self.t60))
         return float(np.sqrt(1.0 - absorption))
 
@@ -132,7 +126,7 @@ def _image_lattice(
     """
     dims = room.dims
     direct = float(np.linalg.norm(src - mic))
-    c = room.speed_of_sound
+    c = SPEED_OF_SOUND
     n_samples = max(room.rir_samples(sample_rate), int(round(direct / c * sample_rate)) + 1)
     reach = n_samples / sample_rate * c
 
@@ -163,8 +157,6 @@ def _image_lattice(
                 )
                 dist = np.sqrt(dist, out=dist)
                 keep = dist < reach
-                if room.max_order is not None:
-                    keep &= order <= room.max_order
                 dist_k = dist[keep]
                 del dist
                 # int32 delays and int16 counts keep the lattice compact
@@ -196,14 +188,11 @@ def schroeder_decay_db(rir: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(edc, 1e-300))
 
 
-def measured_decay_time(
-    rir: np.ndarray, sample_rate: int, drop_lo: float = 5.0, drop_hi: float = 25.0
-) -> float:
-    """Decay time to -60 dB from a line fit over the [-drop_lo, -drop_hi] dB
-    span of the Schroeder curve. Returns NaN when the span is too short to fit."""
+def measured_decay_time(rir: np.ndarray, sample_rate: int) -> float:
+    """Decay time to -60 dB from a line fit over the DECAY_FIT_DB drop span of
+    the Schroeder curve. Returns NaN when the span is too short to fit."""
     db = schroeder_decay_db(rir)
-    i_lo = int(np.searchsorted(-db, drop_lo))
-    i_hi = int(np.searchsorted(-db, drop_hi))
+    i_lo, i_hi = (int(np.searchsorted(-db, drop)) for drop in DECAY_FIT_DB)
     if i_hi - i_lo < 8:
         return float("nan")
     t = np.arange(len(rir)) / sample_rate
@@ -285,23 +274,19 @@ def _convolve(samples: np.ndarray, rir: np.ndarray, n: int) -> np.ndarray:
     return fftconvolve(samples, rir)[:n]
 
 
-def split_direct(
-    v: TimeSignal, rir: np.ndarray, split_ms: float = DEFAULT_SPLIT_MS
-) -> tuple[TimeSignal, TimeSignal]:
+def split_direct(v: TimeSignal, rir: np.ndarray) -> tuple[TimeSignal, TimeSignal]:
     """Split v convolved with rir into a direct/early part and a late part.
 
-    The impulse response is partitioned split_ms after the first nonzero tap;
+    The impulse response is partitioned SPLIT_MS after the first nonzero tap;
     the two convolutions add back to the full one exactly.
     """
-    if split_ms < 0:
-        raise ValueError("split_ms must be >= 0")
     rir = np.asarray(rir, dtype=np.float64)
     nonzero = np.flatnonzero(rir)
     if nonzero.size == 0:
         zero = TimeSignal(np.zeros(len(v)), v.sample_rate)
         return zero, TimeSignal(np.zeros(len(v)), v.sample_rate)
     onset = nonzero[0]
-    cut = min(len(rir), onset + int(round(split_ms * v.sample_rate / 1000.0)) + 1)
+    cut = min(len(rir), onset + int(round(SPLIT_MS * v.sample_rate / 1000.0)) + 1)
     early = rir.copy()
     early[cut:] = 0.0
     late = rir - early
@@ -367,7 +352,6 @@ def synthesize_scene(
     kind: NonlinearityKind,
     ser_db: float | None,
     seed: int | None = None,
-    split_ms: float = DEFAULT_SPLIT_MS,
     duration: float = DEFAULT_DURATION,
 ) -> Scene:
     """Realize the four propagation paths and compose both microphone signals.
@@ -392,7 +376,7 @@ def synthesize_scene(
     h4 = image_method_rir(room, geom.loudspeaker, geom.ref_mic, fs)
 
     x_nl = apply_nonlinearity(x, kind)
-    s_direct, s_reverb = split_direct(v, h1, split_ms)
+    s_direct, s_reverb = split_direct(v, h1)
     s = TimeSignal(s_direct.samples + s_reverb.samples, fs)
     d_raw = _convolve(x_nl.samples, h2, n)
     r_far_raw = _convolve(x_nl.samples, h4, n)

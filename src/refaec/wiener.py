@@ -86,10 +86,6 @@ class FilterBank:
     taps: np.ndarray
     degenerate: np.ndarray
 
-    @property
-    def n_taps(self) -> int:
-        return self.taps.shape[2]
-
 
 def lambda_weights(Y: Spectrogram, window_frames: int, floor: float) -> np.ndarray:
     """Energy weight of every unit, shape [n_frames, n_bins]: floor times the

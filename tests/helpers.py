@@ -129,7 +129,7 @@ def image_source_rir(room, src, mic, fs, beta):
     each image's gain raised to its own reflection count: the per-trial
     computation that the library's lattice replay must reproduce bit for bit."""
     src, mic, dims = np.asarray(src, float), np.asarray(mic, float), room.dims
-    c = room.speed_of_sound
+    c = 343.0
     direct = float(np.linalg.norm(src - mic))
     n_samples = max(room.rir_samples(fs), int(round(direct / c * fs)) + 1)
     reach = n_samples / fs * c
@@ -145,8 +145,6 @@ def image_source_rir(room, src, mic, fs, beta):
             + ((coords[2] - mic[2]) ** 2)[None, None, :]
         )
         keep = dist < reach
-        if room.max_order is not None:
-            keep &= order <= room.max_order
         amp = beta ** order[keep] / (4.0 * np.pi * dist[keep])
         idx = np.round(dist[keep] / c * fs).astype(np.int64)
         valid = idx < n_samples

@@ -81,6 +81,21 @@ def test_rir_rejects_bad_geometry(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_synth_rejects_counts_below_one(corpora, tmp_path, capsys):
+    code = main(
+        [
+            "synth",
+            "--count", "-3",
+            "--corpus-near", str(corpora / "near"),
+            "--corpus-far", str(corpora / "far"),
+            "--out", str(tmp_path / "data"),
+        ]
+    )
+    assert code == 2
+    assert "--count must be >= 1, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_synth_run_eval_workflow(corpora, tmp_path, capsys):
     data = tmp_path / "data"
     config = tmp_path / "desk.cfg"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import random_spectrogram, speech_like
@@ -9,15 +14,13 @@ from refaec import (
     Spectrogram,
     StftConfig,
     TimeSignal,
-    combined_loss,
     erle,
-    evaluate_scene,
     ri_mag_loss,
     s_sisnr,
     sdr,
     synthesize_scene,
 )
-from refaec.metrics import evaluate_estimate, infer_scenario, report_record, s_sisnr_loss
+from refaec.metrics import evaluate_estimate, report_record
 
 FS = 16000
 
@@ -92,21 +95,6 @@ def test_ri_mag_loss_symmetry_and_nonnegativity(rng):
         assert ri_mag_loss(A, B) >= 0.0
 
 
-def test_combined_loss_composition(rng):
-    t = speech_like(rng, 8000)
-    S = random_spectrogram(rng, 6)
-    # perfect estimate: spectral term 0, clamped similarity 100 -> -1 total
-    assert combined_loss(S, S, t, t, alpha=0.01) == pytest.approx(-1.0, abs=1e-12)
-    B = random_spectrogram(rng, 6)
-    est = speech_like(rng, 8000)
-    assert combined_loss(S, B, t, est, alpha=0.0) == pytest.approx(ri_mag_loss(S, B), rel=1e-12)
-    l1 = combined_loss(S, B, t, est, alpha=0.01)
-    l2 = combined_loss(S, B, t, est, alpha=0.02)
-    base = ri_mag_loss(S, B)
-    assert l2 - base == pytest.approx(2 * (l1 - base), rel=1e-9)
-    assert s_sisnr_loss(t, est) == -s_sisnr(t, est)
-
-
 def _scene(rng, v, x, ser=0.0):
     room = RoomSpec(5.0, 4.0, 3.0, t60=0.15)
     geom = SceneGeometry((2.0, 2.0, 1.5), (3.5, 3.0, 1.5), (1.2, 1.1, 1.2), (2.1, 2.0, 1.5))
@@ -119,35 +107,29 @@ def test_evaluate_scene_scenarios(rng):
     silent = TimeSignal(np.zeros(FS))
 
     st_fe = _scene(rng, silent, x)
-    assert infer_scenario(st_fe) == "ST_FE"
-    report = evaluate_scene(st_fe, TimeSignal(np.zeros(FS)))
+    report = evaluate_estimate("ST_FE", st_fe.y, st_fe.s_direct, TimeSignal(np.zeros(FS)))
     assert report.erle_db == 100.0
     assert report.sdr_db is None
 
     dt = _scene(rng, v, x)
-    assert infer_scenario(dt) == "DT"
-    report = evaluate_scene(dt, dt.s_direct)
+    report = evaluate_estimate("DT", dt.y, dt.s_direct, dt.s_direct)
     assert report.sdr_db == 100.0
     assert report.ri_mag_loss == pytest.approx(0.0, abs=1e-9)
 
     st_ne = _scene(rng, v, silent)
-    assert infer_scenario(st_ne) == "ST_NE"
-    report = evaluate_scene(st_ne, st_ne.y)
+    report = evaluate_estimate("ST_NE", st_ne.y, st_ne.s_direct, st_ne.y)
     assert report.sdr_db == pytest.approx(sdr(st_ne.s_direct, st_ne.s), rel=1e-12)
 
     with pytest.raises(ValueError):
         evaluate_estimate("weird", st_fe.y, st_fe.s_direct, st_fe.y)
-
-    both_silent = _scene(rng, silent, silent, ser=None)
-    with pytest.raises(ValueError):
-        infer_scenario(both_silent)
 
 
 def test_report_record_fields(rng):
     v = speech_like(rng, FS)
     x = speech_like(rng, FS)
     scene = _scene(rng, v, x)
-    record = report_record(evaluate_scene(scene, scene.y), "scene_000003")
+    report = evaluate_estimate("DT", scene.y, scene.s_direct, scene.y)
+    record = report_record(report, "scene_000003")
     assert list(record.keys()) == [
         "scene_id",
         "scenario",
@@ -171,3 +153,29 @@ def test_metric_scaling_invariance(rng):
     assert sdr(y, e) == pytest.approx(
         sdr(TimeSignal(2 * y.samples), TimeSignal(2 * e.samples)), abs=1e-9
     )
+
+
+_METRICS_SCRIPT = """
+import numpy as np
+from refaec import TimeSignal, erle, s_sisnr, sdr
+rng = np.random.default_rng(5)
+a = TimeSignal(rng.standard_normal(96000))
+b = TimeSignal(0.1 * a.samples + rng.standard_normal(96000))
+print(repr((erle(a, b), sdr(a, b), s_sisnr(a, b))))
+"""
+
+
+def test_metrics_do_not_depend_on_the_blas_thread_count():
+    # BLAS splits a dot product across its threads, which changes the
+    # summation order; on one CPU both runs use one thread and agree anyway
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _METRICS_SCRIPT],
+            env=run_env, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for run_env in (env, dict(env, OPENBLAS_NUM_THREADS="1"))
+    ]
+    assert outputs[0] == outputs[1]

@@ -58,15 +58,13 @@ def test_polynomial_hand_values():
     assert polynomial(1.0, 5.0) == pytest.approx(3 * a + 1, abs=1e-12)
     # cubic-only case, bypassing the parameter mapping
     assert _polynomial_raw(1.0, 0.0) == 1.0
-    # base-10 reading stays available
-    a10 = math.log10(0.5) + 0.1
-    assert polynomial(1.0, 5.0, log_base="log10") == pytest.approx(3 * a10 + 1, abs=1e-12)
 
 
 def test_hard_clip_cases():
-    assert hard_clip(0.9, 0.7) == 0.7
-    assert hard_clip(-0.9, 0.7) == -0.7
-    assert hard_clip(0.5, 0.7) == 0.5
+    # threshold 0.7
+    assert hard_clip(0.9) == 0.7
+    assert hard_clip(-0.9) == -0.7
+    assert hard_clip(0.5) == 0.5
 
 
 def test_hard_clip_idempotent_and_lipschitz(rng):
@@ -79,7 +77,7 @@ def test_hard_clip_idempotent_and_lipschitz(rng):
 
 def test_soft_clip_hand_value_and_bound():
     # x = x_max = 0.7, rho = 2: 0.49 / sqrt(0.98)
-    assert soft_clip(0.7, 0.7, 2.0) == pytest.approx(0.49 / math.sqrt(0.98), abs=1e-12)
+    assert soft_clip(0.7) == pytest.approx(0.49 / math.sqrt(0.98), abs=1e-12)
     wide = np.linspace(-1e6, 1e6, 100_000)
     assert np.all(np.abs(soft_clip(wide)) < 0.7)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -240,6 +241,25 @@ def test_synth_dataset_empty_corpus_errors(tmp_path):
         synth_dataset(1, True, tmp_path / "out", 0, tmp_path / "near", tmp_path / "far")
 
 
+def test_synth_dataset_rejects_counts_below_one(rng, tmp_path):
+    _write_corpus(rng, tmp_path / "near", 1)
+    _write_corpus(rng, tmp_path / "far", 1)
+    for count in (0, -3):
+        with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+            synth_dataset(count, True, tmp_path / "out", 0, tmp_path / "near", tmp_path / "far")
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_dataset_rejects_corpus_clips_not_at_16_khz(rng, tmp_path):
+    _write_corpus(rng, tmp_path / "near", 1)
+    (tmp_path / "far").mkdir()
+    write_wav(tmp_path / "far" / "clip_0.wav", TimeSignal(speech_like(rng, 8000).samples, 8000))
+    with pytest.raises(ValueError, match="expected 16000 Hz, got 8000"):
+        synth_dataset(
+            1, True, tmp_path / "out", 0, tmp_path / "near", tmp_path / "far", duration=1.0
+        )
+
+
 def test_run_and_eval_dataset(rng, tmp_path):
     _write_corpus(rng, tmp_path / "near", 2)
     _write_corpus(rng, tmp_path / "far", 2)
@@ -352,6 +372,22 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     for line in ("seed = 7", "wiener_main.lambda_mode = frozen", "mask.ref_taps = 2"):
         bad.write_text(line + "\n")
         with pytest.raises(ValueError, match="unknown key"):
+            parse_config_file(bad)
+
+
+def test_config_file_errors_name_their_line_and_section(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    cases = [
+        ("wiener_main.taps = 8.0",
+         f"{bad}:2: wiener_main.taps: invalid literal for int() with base 10: '8.0'"),
+        ("wiener_main.weighted = maybe", f"{bad}:2: wiener_main.weighted: not a boolean: 'maybe'"),
+        ("mask.compression = high",
+         f"{bad}:2: mask.compression: could not convert string to float: 'high'"),
+        ("wiener_ref.taps = 0", f"{bad}: wiener_ref: taps must be >= 1"),
+    ]
+    for line, message in cases:
+        bad.write_text(f"# one bad line\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config_file(bad)
 
 

@@ -30,15 +30,14 @@ from refaec.roomsim import (
 FS = 16000
 
 
-def test_anechoic_rir_is_single_scaled_impulse():
-    room = RoomSpec(5.0, 4.0, 3.0, t60=0.3, max_order=0)
+def test_direct_path_is_first_tap_with_spherical_spreading():
+    room = RoomSpec(5.0, 4.0, 3.0, t60=0.3)
     src, mic = (1.0, 1.0, 1.5), (3.0, 2.0, 1.5)
     h = image_method_rir(room, src, mic, FS)
     d = float(np.linalg.norm(np.subtract(src, mic)))
-    nonzero = np.flatnonzero(h)
-    assert len(nonzero) == 1
-    assert nonzero[0] == round(FS * d / 343.0)
-    assert h[nonzero[0]] == pytest.approx(1.0 / (4.0 * np.pi * d), rel=1e-12)
+    first = np.flatnonzero(h)[0]
+    assert first == round(FS * d / 343.0)
+    assert h[first] == pytest.approx(1.0 / (4.0 * np.pi * d), rel=1e-12)
 
 
 def test_rir_decay_matches_target_t60():
@@ -125,7 +124,7 @@ def test_split_direct_anechoic_has_no_late_part(rng):
     v = speech_like(rng, 8000)
     h = np.zeros(400)
     h[37] = 0.21
-    s_direct, s_reverb = split_direct(v, h, split_ms=50.0)
+    s_direct, s_reverb = split_direct(v, h)
     assert np.all(s_reverb.samples == 0)
     assert np.allclose(s_direct.samples, 0.21 * np.r_[np.zeros(37), v.samples[:-37]], atol=1e-12)
 
@@ -136,7 +135,7 @@ def test_split_direct_additivity(rng):
     v = speech_like(rng, 8000)
     room = RoomSpec(5.0, 4.0, 3.0, t60=0.25)
     h = image_method_rir(room, (1.0, 1.3, 1.5), (3.5, 2.2, 1.8), FS)
-    s_direct, s_reverb = split_direct(v, h, split_ms=50.0)
+    s_direct, s_reverb = split_direct(v, h)
     full = fftconvolve(v.samples, h)[: len(v)]
     err = np.max(np.abs(s_direct.samples + s_reverb.samples - full))
     assert err <= 1e-12 * max(1.0, np.max(np.abs(full)))
@@ -145,10 +144,10 @@ def test_split_direct_additivity(rng):
 
 def test_split_direct_zero_split_keeps_only_direct_tap(rng):
     v = speech_like(rng, 4000)
-    h = np.zeros(300)
+    h = np.zeros(1000)
     h[25] = 0.5  # direct tap (onset oracle: first nonzero sample)
-    h[80] = 0.2
-    s_direct, s_reverb = split_direct(v, h, split_ms=0.0)
+    h[25 + 801] = 0.2  # first tap past the 50 ms (800-sample) split
+    s_direct, s_reverb = split_direct(v, h)
     only_direct = np.r_[np.zeros(25), 0.5 * v.samples[:-25]]
     assert np.allclose(s_direct.samples, only_direct, atol=1e-12)
     assert np.any(s_reverb.samples != 0)

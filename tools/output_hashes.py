@@ -1,0 +1,156 @@
+"""Print one SHA-256 per artifact group of refaec's outputs on fixed inputs.
+
+Usage: python3 tools/output_hashes.py
+
+The library is imported from the src/ directory of the checkout that holds
+this script, and the test helpers from its tests/ directory. Run the script on
+two checkouts at the same CPU count: equal lines mean the change moved no
+output bit in that group. The groups are:
+
+- the seven run_linear_stage spectrograms of a 6 s double-talk scene at the
+  default configuration;
+- every signal, impulse response and echo gain of 4 far-end single-talk and
+  of 4 double-talk scenes;
+- the synth / run --export-features / eval file tree of acceptance
+  criterion 10, with its scenes on 1 and on 2 worker processes. Its
+  report.jsonl is hashed on a line of its own, after the rest of the tree.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import refaec  # noqa: E402
+from helpers import speech_like  # noqa: E402
+from refaec import NonlinearityKind, TimeSignal, pipeline  # noqa: E402
+from refaec.cli import main as cli_main  # noqa: E402
+from refaec.wavio import write_wav  # noqa: E402
+
+FS = 16000
+SCENE_SIGNALS = (
+    "x", "x_nl", "v", "s", "s_direct", "s_reverb", "d", "y", "r", "r_far", "r_near",
+    "rir_talker_main", "rir_speaker_main", "rir_talker_ref", "rir_speaker_ref",
+)
+FAR_END_KINDS = (
+    NonlinearityKind("saturating", b=2.0),
+    NonlinearityKind("exponential", b=3.5),
+    NonlinearityKind("polynomial", b=5.0),
+    NonlinearityKind("hard_clip_sigmoid"),
+)
+DOUBLE_TALK_KINDS = (
+    NonlinearityKind("soft_clip_sigmoid"),
+    NonlinearityKind("polynomial", b=2.5),
+    NonlinearityKind("identity"),
+    NonlinearityKind("hard_clip_sigmoid"),
+)
+DOUBLE_TALK_SER_DB = (-10.0, -3.0, 0.0, 7.0)
+
+
+def _digest(arrays) -> str:
+    """SHA-256 over each array's dtype, shape and raw bytes, sign bits included."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _scene(seed: int, duration: float, kind: NonlinearityKind, ser_db: float | None):
+    """A scene in a sampled room; ser_db None leaves the talker silent."""
+    rng = np.random.default_rng(seed)
+    room = refaec.sample_room(rng)
+    geom = refaec.sample_geometry(room, rng)
+    n = int(round(duration * FS))
+    x = speech_like(rng, n)
+    v = TimeSignal(np.zeros(n)) if ser_db is None else speech_like(rng, n)
+    return refaec.synthesize_scene(room, geom, v, x, kind, ser_db, seed=seed, duration=duration)
+
+
+def _scene_arrays(scene) -> list[np.ndarray]:
+    arrays = []
+    for name in SCENE_SIGNALS:
+        value = getattr(scene, name)
+        arrays.append(value.samples if isinstance(value, TimeSignal) else value)
+    arrays.append(np.array([scene.echo_gain]))
+    return arrays
+
+
+def stage_hash() -> str:
+    scene = _scene(0, 6.0, NonlinearityKind("hard_clip_sigmoid"), 0.0)
+    bundle = refaec.run_linear_stage(scene.y, scene.x, scene.r)
+    return _digest(spec.data for spec in bundle.signals())
+
+
+def scenes_hash(kinds, sers, first_seed: int) -> str:
+    arrays = []
+    for i, (kind, ser_db) in enumerate(zip(kinds, sers)):
+        arrays += _scene_arrays(_scene(first_seed + i, 2.5, kind, ser_db))
+    return _digest(arrays)
+
+
+def _file_tree(root: Path, skip: str | None = None) -> str:
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name != skip:
+            h.update(str(path.relative_to(root)).encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def _cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):  # synth prints the manifest path
+        code = cli_main(argv)
+    if code != 0:
+        sys.exit(f"error: refaec {argv[0]} exited {code}")
+
+
+def tree_hashes(workdir: Path, workers: int) -> tuple[str, str]:
+    """The criterion-10 synth/run/eval sequence with `workers` scene workers;
+    returns the hashes of the tree without report.jsonl and of report.jsonl."""
+    rng = np.random.default_rng(1010)
+    for name in ("near", "far"):
+        (workdir / name).mkdir(exist_ok=True)
+        for i in range(2):
+            write_wav(workdir / name / f"clip_{i}.wav", speech_like(rng, 2 * FS))
+    config = workdir / "desk.cfg"
+    config.write_text("wiener_main.taps = 6\nwiener_main.window_frames = 60\n")
+    root = workdir / f"exec_{workers}"
+    data, report = root / "data", root / "report.jsonl"
+    n_workers = pipeline._n_workers
+    pipeline._n_workers = lambda: workers
+    try:
+        _cli(["synth", "--count", "2", "--corpus-near", str(workdir / "near"),
+              "--corpus-far", str(workdir / "far"), "--out", str(data), "--seed", "12"])
+        _cli(["run", "--manifest", str(data / "manifest.jsonl"), "--config", str(config),
+              "--export-features", "--out", str(root / "est")])
+        _cli(["eval", "--manifest", str(data / "manifest.jsonl"),
+              "--estimates", str(root / "est"), "--report", str(report)])
+    finally:
+        pipeline._n_workers = n_workers
+    return _file_tree(root, skip=report.name), hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+def main() -> None:
+    print(f"{stage_hash()}  run_linear_stage arrays, 6 s default scene")
+    print(f"{scenes_hash(FAR_END_KINDS, [None] * 4, 100)}  4 far-end scenes")
+    print(f"{scenes_hash(DOUBLE_TALK_KINDS, DOUBLE_TALK_SER_DB, 200)}  4 double-talk scenes")
+    with tempfile.TemporaryDirectory() as tmp:
+        for workers in (1, 2):
+            tree, report = tree_hashes(Path(tmp), workers)
+            print(f"{tree}  criterion-10 tree without report.jsonl, {workers} worker(s)")
+            print(f"{report}  criterion-10 report.jsonl, {workers} worker(s)")
+
+
+if __name__ == "__main__":
+    main()
