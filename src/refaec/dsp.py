@@ -13,6 +13,16 @@ DEFAULT_SAMPLE_RATE = 16000
 _OLA_FLOOR = 1e-12
 
 
+def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b by numpy's pairwise summation.
+
+    A BLAS dot product splits long sums across its threads, so its last bits
+    follow the thread count, and the OpenBLAS thread it wakes keeps spinning
+    for about 0.1 s after the call returns, taking a core from other work.
+    """
+    return float(np.sum(a * b))
+
+
 def _as_mono_float(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1:
@@ -38,7 +48,7 @@ class TimeSignal:
         return len(self.samples)
 
     def energy(self) -> float:
-        return float(np.dot(self.samples, self.samples))
+        return pairwise_dot(self.samples, self.samples)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ scale-invariant SNR and a compressed complex-spectrum distance.
 
 All log-ratio metrics share a 1e-12 energy floor and a 100 dB cap so reports
 stay finite for perfect or degenerate estimates. Sums of products go through
-numpy's pairwise summation rather than BLAS, whose summation order depends on
-its thread count, so reports are the same bits on any number of CPUs.
+`dsp.pairwise_dot` rather than BLAS, so reports are the same bits on any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, StftConfig, TimeSignal, stft_forward
+from .dsp import Spectrogram, StftConfig, TimeSignal, pairwise_dot, stft_forward
 
 ENERGY_FLOOR = 1e-12
 DB_CAP = 100.0
@@ -41,14 +41,10 @@ def _log_ratio_db(num: float, den: float) -> float:
     return float(min(10.0 * np.log10((num + ENERGY_FLOOR) / (den + ENERGY_FLOOR)), DB_CAP))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
-
-
 def erle(y: TimeSignal, e: TimeSignal) -> float:
     """Echo reduction in dB: pre-cancellation mic signal y against residual e."""
     _check_lengths(y, e)
-    return _log_ratio_db(_dot(y.samples, y.samples), _dot(e.samples, e.samples))
+    return _log_ratio_db(y.energy(), e.energy())
 
 
 def sdr(target: TimeSignal, estimate: TimeSignal) -> float:
@@ -56,7 +52,7 @@ def sdr(target: TimeSignal, estimate: TimeSignal) -> float:
     distortion filter."""
     _check_lengths(target, estimate)
     err = target.samples - estimate.samples
-    return _log_ratio_db(_dot(target.samples, target.samples), _dot(err, err))
+    return _log_ratio_db(target.energy(), pairwise_dot(err, err))
 
 
 def s_sisnr(target: TimeSignal, estimate: TimeSignal) -> float:
@@ -68,11 +64,11 @@ def s_sisnr(target: TimeSignal, estimate: TimeSignal) -> float:
     _check_lengths(target, estimate)
     t = target.samples - np.mean(target.samples)
     e = estimate.samples - np.mean(estimate.samples)
-    nt = np.sqrt(_dot(t, t))
-    ne = np.sqrt(_dot(e, e))
+    nt = np.sqrt(pairwise_dot(t, t))
+    ne = np.sqrt(pairwise_dot(e, e))
     if nt == 0.0 or ne == 0.0:
         raise ValueError("s_sisnr needs nonzero (non-constant) signals")
-    cos = float(np.clip(_dot(t, e) / (nt * ne), -1.0, 1.0))
+    cos = float(np.clip(pairwise_dot(t, e) / (nt * ne), -1.0, 1.0))
     with np.errstate(divide="ignore"):
         value = 10.0 * np.log10((1.0 + cos) / (1.0 - cos)) if cos < 1.0 else np.inf
     return float(np.clip(value, -DB_CAP, DB_CAP))

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dsp import DEFAULT_SAMPLE_RATE, TimeSignal
+from .dsp import DEFAULT_SAMPLE_RATE, TimeSignal, pairwise_dot
 from .nonlinear import NonlinearityKind, apply_nonlinearity
 
 WALL_MARGIN = 0.1
@@ -305,8 +305,13 @@ def mix_at_ser(s: TimeSignal, d: TimeSignal, ser_db: float) -> tuple[TimeSignal,
     es, ed = s.energy(), d.energy()
     if es == 0.0 or ed == 0.0:
         raise MixingError("mixing needs nonzero energy in both signals")
-    gain = float(np.sqrt(es / (ed * 10.0 ** (ser_db / 10.0))))
+    gain = _ser_gain(es, ed, ser_db)
     return TimeSignal(s.samples + gain * d.samples, s.sample_rate), gain
+
+
+def _ser_gain(es: float, ed: float, ser_db: float) -> float:
+    """Echo gain g with es / (g^2 * ed) equal to ser_db in dB."""
+    return float(np.sqrt(es / (ed * 10.0 ** (ser_db / 10.0))))
 
 
 @dataclass(eq=False)
@@ -382,12 +387,11 @@ def synthesize_scene(
     r_far_raw = _convolve(x_nl.samples, h4, n)
     r_near = TimeSignal(_convolve(v.samples, h3, n), fs)
 
-    if s.energy() > 0.0 and float(np.dot(d_raw, d_raw)) > 0.0 and ser_db is not None:
-        _, gain = mix_at_ser(s, TimeSignal(d_raw, fs), ser_db)
-        recorded_ser: float | None = float(ser_db)
-    else:
-        gain = 1.0
-        recorded_ser = None
+    gain, recorded_ser = 1.0, None
+    if ser_db is not None:
+        es, ed = s.energy(), pairwise_dot(d_raw, d_raw)
+        if es > 0.0 and ed > 0.0:
+            gain, recorded_ser = _ser_gain(es, ed, ser_db), float(ser_db)
 
     d = TimeSignal(gain * d_raw, fs)
     r_far = TimeSignal(gain * r_far_raw, fs)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import image_source_rir, schroeder_t60, speech_like
@@ -15,7 +20,7 @@ from refaec import (
     split_direct,
     synthesize_scene,
 )
-from refaec import roomsim
+from refaec import dsp, roomsim
 from refaec.roomsim import (
     GeometryError,
     MixingError,
@@ -28,6 +33,7 @@ from refaec.roomsim import (
 )
 
 FS = 16000
+TESTS = Path(__file__).resolve().parent
 
 
 def test_direct_path_is_first_tap_with_spherical_spreading():
@@ -298,3 +304,68 @@ def test_room_spec_validation():
         RoomSpec(3.0, 4.0, 3.0, t60=0.3)  # length below supported range
     with pytest.raises(ValueError):
         RoomSpec(5.0, 4.0, 3.0, t60=0.0)
+
+
+_DT_SCENE = """
+import numpy as np
+from helpers import speech_like
+from refaec import sample_geometry, sample_kind, sample_room, synthesize_scene
+
+def dt_scene(seed):
+    rng = np.random.default_rng(seed)
+    room = sample_room(rng)
+    geom = sample_geometry(room, rng)
+    kind = sample_kind(rng, matched=bool(rng.integers(2)))
+    ser_db = float(rng.integers(-10, 11))
+    v, x = speech_like(rng, 96000), speech_like(rng, 96000)
+    return synthesize_scene(room, geom, v, x, kind, ser_db, seed=seed)
+"""
+
+
+def _run_script(script: str, **env_vars) -> str:
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    env.update(env_vars)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+
+
+def test_scenes_do_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product splits its sum across threads, so an echo gain taken
+    # from one would change in its last bit with the thread count
+    script = _DT_SCENE + """
+import hashlib
+for seed in (0, 1, 2):
+    scene = dt_scene(seed)
+    print(repr(scene.echo_gain),
+          *(hashlib.sha256(sig.samples.tobytes()).hexdigest() for sig in (scene.y, scene.r, scene.d)))
+"""
+    assert _run_script(script) == _run_script(script, OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs for a BLAS thread")
+def test_synthesis_leaves_no_blas_thread_spinning():
+    # an OpenBLAS thread woken by a long dot product spins on its CPU for about
+    # 0.1 s after the call, which a concurrent scene worker would need
+    script = _DT_SCENE + """
+import resource, time
+dt_scene(0)
+before = resource.getrusage(resource.RUSAGE_SELF)
+time.sleep(0.3)
+after = resource.getrusage(resource.RUSAGE_SELF)
+print(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+"""
+    assert float(_run_script(script, OPENBLAS_NUM_THREADS="2")) < 0.03
+
+
+def test_single_talk_synthesis_takes_no_energies(rng, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("single-talk synthesis computed an energy")
+
+    monkeypatch.setattr(roomsim, "pairwise_dot", refuse)
+    monkeypatch.setattr(dsp, "pairwise_dot", refuse)
+    scene = _small_scene(rng, speech_like(rng, FS), speech_like(rng, FS), ser=None)
+    assert scene.echo_gain == 1.0
