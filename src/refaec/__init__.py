@@ -45,7 +45,6 @@ from .roomsim import (
     Scene,
     SceneGeometry,
     image_method_rir,
-    mix_at_ser,
     sample_geometry,
     sample_room,
     split_direct,
@@ -78,7 +77,6 @@ __all__ = [
     "export_features",
     "hard_clip",
     "image_method_rir",
-    "mix_at_ser",
     "polynomial",
     "read_features",
     "ri_mag_loss",

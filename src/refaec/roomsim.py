@@ -34,10 +34,6 @@ class GeometryError(ValueError):
     pass
 
 
-class MixingError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RoomSpec:
     """Rectangular room with a target decay time."""
@@ -293,20 +289,6 @@ def split_direct(v: TimeSignal, rir: np.ndarray) -> tuple[TimeSignal, TimeSignal
     s_direct = _convolve(v.samples, early, len(v))
     s_late = _convolve(v.samples, late, len(v))
     return TimeSignal(s_direct, v.sample_rate), TimeSignal(s_late, v.sample_rate)
-
-
-def mix_at_ser(s: TimeSignal, d: TimeSignal, ser_db: float) -> tuple[TimeSignal, float]:
-    """Scale the echo so that 10*log10(||s||^2 / ||g*d||^2) equals ser_db.
-
-    Returns the mixture s + g*d and the gain g applied to the echo.
-    """
-    if len(s) != len(d):
-        raise MixingError("signals must share a length")
-    es, ed = s.energy(), d.energy()
-    if es == 0.0 or ed == 0.0:
-        raise MixingError("mixing needs nonzero energy in both signals")
-    gain = _ser_gain(es, ed, ser_db)
-    return TimeSignal(s.samples + gain * d.samples, s.sample_rate), gain
 
 
 def _ser_gain(es: float, ed: float, ser_db: float) -> float:

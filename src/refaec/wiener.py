@@ -5,17 +5,20 @@ Two solver flavours share one machinery: the plain short-time Wiener solution
 divides each frame's squared error by an energy-tracking weight so that
 low-energy units do not dominate the fit.
 
-wstws_cancel solves every unit's normal equations A h = b at once: the
-Hermitian A is kept as its packed upper triangle, its sliding-window sums come
-from one cumulative sum along frames, and each unit is solved by a Cholesky
-factorisation A = R^H R written as elementwise passes over all units of a
-chunk of bins. A unit whose loaded A is not numerically positive definite gets
-the zero filter. The per-unit oracles that the tests check it against live in
-tests/helpers.py.
+wstws_cancel solves every unit's normal equations A h = b at once, a chunk of
+bins at a time, in four phases over an [entry, bin, frame] buffer that holds
+the Hermitian A as its packed upper triangle with b[i] at the end of row i:
+_products builds the per-frame terms, _windowed_sums turns their cumulative
+sums along frames into sliding-window sums, _factor_solve loads A and solves
+by a Cholesky factorisation A = R^H R written as elementwise passes over all
+units, and _residual applies the taps. A unit whose loaded A is not
+numerically positive definite gets the zero filter. The per-unit oracles that
+the tests check it against live in tests/helpers.py.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -123,6 +126,99 @@ def _chunk_bins(taps: int, n_frames: int, n_bins: int, workers: int) -> int:
     return max(1, min(bins, -(-n_bins // workers)))
 
 
+@functools.cache
+def _layout(taps: int) -> tuple[list[int], np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Index plan of the augmented packed buffer for `taps` taps.
+
+    Row i holds A[i, i:] followed by b[i], taps - i + 1 entries starting at
+    starts[i]. Also returns the entries of A's diagonal, those of b, and for
+    each i the entries A[:i, i], where the factorization leaves R[:i, i].
+    """
+    starts = [i * (taps + 1) - i * (i - 1) // 2 for i in range(taps)]
+    diag = np.array(starts, dtype=np.intp)
+    rhs = np.array([s + taps - i for i, s in enumerate(starts)], dtype=np.intp)
+    above = [np.array([starts[k] + i - k for k in range(i)], dtype=np.intp) for i in range(taps)]
+    return starts, diag, rhs, above
+
+
+def _products(xa: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-frame terms of every unit's normal equations, [entry, unit...].
+
+    xa stacks the delay stack and y, [x_0, ..., x_{taps-1}, y], over units
+    [unit...]; it is conjugated in place. Row i of the result is
+    w x_i * conj(xa[i:]): the products w x_i conj(x_j) of A[i, i:] (j >= i)
+    followed by the product w x_i conj(y) of b[i].
+    """
+    taps = len(xa) - 1
+    starts = _layout(taps)[0]
+    wx = xa[:taps] * weights
+    np.conjugate(xa, out=xa)
+    G = np.empty((taps * (taps + 3) // 2,) + xa.shape[1:], dtype=np.complex128)
+    for i, s in enumerate(starts):
+        np.multiply(wx[i], xa[i:], out=G[s : s + taps + 1 - i])
+    return G
+
+
+def _factor_solve(
+    G: np.ndarray, taps: int, diag_load: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every unit's loaded normal equations from their window sums G,
+    [entry, unit...], overwriting G.
+
+    Returns the taps [taps, unit...], the degenerate mask [unit...] and the
+    Cholesky diagonal R[i, i] = sqrt(pivot) [taps, unit...]. A unit whose
+    trace or a pivot is not positive, or whose taps are not finite, is
+    flagged and gets the zero filter.
+    """
+    starts, diag_at, rhs_at, above = _layout(taps)
+    real = G.real
+    diag = real[diag_at]
+    trace = diag.sum(axis=0)
+    bad = ~np.isfinite(trace) | (trace <= 0.0)
+    diag += diag_load * trace / taps
+    real[diag_at] = diag
+    del diag
+
+    # A = R^H R, right-looking and in place: row i becomes R[i, i:]
+    # followed by z[i], the forward solution of R^H z = b, because b[i] ends
+    # the row that the pivot scales and b[k] ends each trailing row it
+    # updates. 1 / R[i, i] goes to inv[i]. A non-positive pivot turns its
+    # unit to inf/nan here; the unit is zeroed below.
+    inv = np.empty((taps,) + G.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, s in enumerate(starts):
+            np.divide(1.0, np.sqrt(real[s], out=real[s]), out=inv[i])
+            r = G[s + 1 : s + taps + 1 - i]
+            r *= inv[i]
+            rc = r[:-1].conj()
+            for j, k in enumerate(range(i + 1, taps)):
+                G[starts[k] : starts[k] + taps + 1 - k] -= rc[j] * r[j:]
+        # back substitution R h = z, one column of R at a time
+        h = G[rhs_at]
+        for i in range(taps - 1, -1, -1):
+            h[i] *= inv[i]
+            if i:
+                column = G[above[i]]
+                column *= h[i]
+                h[:i] -= column
+    root = real[diag_at]
+    bad |= ~(root > 0.0).all(axis=0)
+    bad |= ~np.isfinite(h).all(axis=0)
+    h[:, bad] = 0.0
+    return h, bad, root
+
+
+def _residual(h: np.ndarray, xc: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y minus the prediction sum_k conj(h_k) x_k, from the conjugated delay
+    stack xc [taps, unit...]. Zero-filter units pass y through untouched, bit
+    for bit."""
+    # conj(sum h_k conj(x_k)) is sum conj(h_k) x_k, bit for bit
+    prediction = np.multiply(h, xc).sum(axis=0)
+    res = y - np.conjugate(prediction, out=prediction)
+    np.copyto(res, y, where=~(h != 0).any(axis=0))
+    return res
+
+
 def wstws_cancel(
     Y: Spectrogram, X: Spectrogram, cfg: WienerConfig
 ) -> tuple[Spectrogram, FilterBank]:
@@ -149,74 +245,21 @@ def wstws_cancel(
     degenerate = np.empty((n_frames, n_bins), dtype=bool)
     residual = np.empty_like(Y.data)
 
-    # Row i of the packed upper triangle holds A[i, i:] and starts at
-    # row_start[i]; b follows the triangle. above[i] indexes R[:i, i].
-    n_tri = taps * (taps + 1) // 2
-    entries = n_tri + taps
-    row_start = [i * taps - i * (i - 1) // 2 for i in range(taps)]
-    above = [np.array([row_start[k] + i - k for k in range(i)], dtype=np.intp) for i in range(taps)]
-
     def solve_chunk(sl: slice) -> None:
-        # frame-innermost layout [entry, bin, frame]: x[k, f, t] = X[t - k, f]
-        # a copy, never a view of embedded, because it is conjugated in place
-        x = embedded[:, sl, :].transpose(2, 1, 0).copy()
+        # frame-innermost layout [entry, bin, frame]: xa[k, f, t] = X[t - k, f]
+        # for k < taps and xa[taps, f, t] = Y[t, f]; a copy, never a view of
+        # embedded, because _products conjugates it in place
         y = np.ascontiguousarray(Y.data[:, sl].T)
-        wx = x * weights[:, sl].T
-        # from here on x holds conj(X); the prediction below conjugates back
-        xc = np.conjugate(x, out=x)
-        G = np.empty((entries,) + y.shape, dtype=np.complex128)
-        for i in range(taps):
-            np.multiply(wx[i], xc[i:], out=G[row_start[i] : row_start[i] + taps - i])
-        np.multiply(wx, y.conj(), out=G[n_tri:])
-        del wx
+        xa = np.empty((taps + 1,) + y.shape, dtype=np.complex128)
+        xa[:taps] = embedded[:, sl, :].transpose(2, 1, 0)
+        xa[taps] = y
+        G = _products(xa, weights[:, sl].T)
         G = _windowed_sums(np.cumsum(G, axis=2, out=G), window)
-
-        diag = [G[s] for s in row_start]
-        trace = sum(d.real for d in diag)
-        bad = ~np.isfinite(trace) | (trace <= 0.0)
-        load = cfg.diag_load * trace / taps
-        for d in diag:
-            d += load
-
-        # A = R^H R, right-looking and in place: row i of the triangle becomes
-        # R[i, i + 1:], and 1 / R[i, i] goes to inv[i]. b rides along as an
-        # extra column, so it leaves the loop as the forward solution z of
-        # R^H z = b. Units with a non-positive pivot turn to inf/nan here and
-        # are zeroed below.
-        b = G[n_tri:]
-        inv = np.empty((taps,) + y.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(taps):
-                row = G[row_start[i] : row_start[i] + taps - i]
-                pivot = row[0].real
-                bad |= ~(pivot > 0.0)
-                inv[i] = 1.0 / np.sqrt(pivot)
-                b[i] *= inv[i]
-                r = row[1:]
-                r *= inv[i]
-                rc = r.conj()
-                b[i + 1 :] -= rc * b[i]
-                for j, k in enumerate(range(i + 1, taps)):
-                    G[row_start[k] : row_start[k] + taps - k] -= rc[j] * r[j:]
-            # back substitution R h = z, one column of R at a time
-            for i in range(taps - 1, -1, -1):
-                b[i] *= inv[i]
-                if i:
-                    b[:i] -= G[above[i]] * b[i]
-        h = b
-        bad |= ~np.isfinite(h).all(axis=0)
-        h[:, bad] = 0.0
-
-        # conj(sum h_k conj(x_k)) is sum conj(h_k) x_k, bit for bit
-        prediction = h[0] * xc[0]
-        for k in range(1, taps):
-            prediction += h[k] * xc[k]
-        res = y - np.conjugate(prediction, out=prediction)
-        # zero-filter units pass Y through untouched, bit for bit
-        np.copyto(res, y, where=~(h != 0).any(axis=0))
+        h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
+        del G
+        residual[:, sl] = _residual(h, xa[:taps], y).T
         h_all[:, sl, :] = h.transpose(2, 1, 0)
         degenerate[:, sl] = bad.T
-        residual[:, sl] = res.T
 
     workers = _n_workers()
     chunk = _chunk_bins(taps, n_frames, n_bins, workers)

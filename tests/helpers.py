@@ -66,9 +66,9 @@ def delay_stack(spec: Spectrogram, t, f, taps):
     return np.array([spec.data[t - k, f] if k <= t else 0.0 for k in range(taps)], dtype=complex)
 
 
-def dense_normal_equations(Y, X, t, f, cfg: WienerConfig):
-    """Dense weighted normal-equations solve for one unit, built with plain
-    python loops and a generic linear solve."""
+def window_normal_equations(Y, X, t, f, cfg: WienerConfig):
+    """Unloaded weighted normal equations (A, b) of one unit, summed over its
+    window with plain python loops."""
     taps = cfg.taps
     A = np.zeros((taps, taps), dtype=complex)
     b = np.zeros(taps, dtype=complex)
@@ -79,6 +79,14 @@ def dense_normal_equations(Y, X, t, f, cfg: WienerConfig):
             b[i] += w * xv[i] * np.conj(Y.data[tp, f])
             for j in range(taps):
                 A[i, j] += w * xv[i] * np.conj(xv[j])
+    return A, b
+
+
+def dense_normal_equations(Y, X, t, f, cfg: WienerConfig):
+    """Dense weighted normal-equations solve for one unit, built with plain
+    python loops and a generic linear solve."""
+    taps = cfg.taps
+    A, b = window_normal_equations(Y, X, t, f, cfg)
     trace = A.trace().real
     if trace <= 0:
         return np.zeros(taps, dtype=complex)

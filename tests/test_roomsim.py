@@ -14,7 +14,6 @@ from refaec import (
     SceneGeometry,
     TimeSignal,
     image_method_rir,
-    mix_at_ser,
     sample_geometry,
     sample_room,
     split_direct,
@@ -23,7 +22,6 @@ from refaec import (
 from refaec import dsp, roomsim
 from refaec.roomsim import (
     GeometryError,
-    MixingError,
     REF_SHELL_RADII,
     WALL_MARGIN,
     _calibration_path,
@@ -159,27 +157,6 @@ def test_split_direct_zero_split_keeps_only_direct_tap(rng):
     assert np.any(s_reverb.samples != 0)
 
 
-def test_mix_at_ser_energies(rng):
-    s = speech_like(rng, 8000)
-    d = speech_like(rng, 8000)
-    y, g0 = mix_at_ser(s, d, 0.0)
-    assert s.energy() / (g0**2 * d.energy()) == pytest.approx(1.0, rel=1e-9)
-    assert np.array_equal(y.samples, s.samples + g0 * d.samples)
-    _, g10 = mix_at_ser(s, d, 10.0)
-    assert s.energy() / (g10**2 * d.energy()) == pytest.approx(10.0, rel=1e-9)
-    _, g_neg = mix_at_ser(s, d, -10.0)
-    assert g_neg / g10 == pytest.approx(10.0, rel=1e-9)
-
-
-def test_mix_at_ser_zero_energy_errors(rng):
-    s = speech_like(rng, 1000)
-    silent = TimeSignal(np.zeros(1000))
-    with pytest.raises(MixingError):
-        mix_at_ser(silent, s, 0.0)
-    with pytest.raises(MixingError):
-        mix_at_ser(s, silent, 0.0)
-
-
 def _small_scene(rng, v, x, kind=None, ser=0.0, duration=1.0):
     room = RoomSpec(5.0, 4.0, 3.0, t60=0.15)
     geom = SceneGeometry((2.0, 2.0, 1.5), (3.5, 3.0, 1.5), (1.2, 1.1, 1.2), (2.1, 2.0, 1.5))
@@ -201,10 +178,37 @@ def test_scene_far_end_single_talk(rng):
 def test_scene_near_end_single_talk(rng):
     v = speech_like(rng, FS)
     silent = TimeSignal(np.zeros(FS))
-    scene = _small_scene(rng, v, silent)
+    scene = _small_scene(rng, v, silent)  # a requested SER needs echo energy
+    assert scene.echo_gain == 1.0
+    assert scene.ser_db is None
     assert np.array_equal(scene.y.samples, scene.s.samples)
     assert np.array_equal(scene.r.samples, scene.r_near.samples)
     assert np.all(scene.d.samples == 0)
+
+
+def test_ser_gain_energies(rng):
+    es = speech_like(rng, 8000).energy()
+    ed = speech_like(rng, 8000).energy()
+    g0 = roomsim._ser_gain(es, ed, 0.0)
+    assert es / (g0**2 * ed) == pytest.approx(1.0, rel=1e-9)
+    g10 = roomsim._ser_gain(es, ed, 10.0)
+    assert es / (g10**2 * ed) == pytest.approx(10.0, rel=1e-9)
+    g_neg = roomsim._ser_gain(es, ed, -10.0)
+    assert g_neg / g10 == pytest.approx(10.0, rel=1e-9)
+
+
+def test_double_talk_scene_mixes_the_scaled_echo(rng):
+    v = speech_like(rng, FS)
+    x = speech_like(rng, FS)
+    unit = _small_scene(rng, TimeSignal(np.zeros(FS)), x)  # single talk keeps unit gain
+    scene = _small_scene(rng, v, x, ser=0.0)
+    g0 = scene.echo_gain
+    assert scene.s.energy() / (g0**2 * unit.d.energy()) == pytest.approx(1.0, rel=1e-9)
+    assert np.array_equal(scene.d.samples, g0 * unit.d.samples)
+    assert np.array_equal(scene.y.samples, scene.s.samples + g0 * unit.d.samples)
+    g10 = _small_scene(rng, v, x, ser=10.0).echo_gain
+    assert scene.s.energy() / (g10**2 * unit.d.energy()) == pytest.approx(10.0, rel=1e-9)
+    assert _small_scene(rng, v, x, ser=-10.0).echo_gain / g10 == pytest.approx(10.0, rel=1e-9)
 
 
 _SCENE_SIGNALS = ("x", "x_nl", "v", "s", "s_direct", "s_reverb", "d", "y", "r", "r_far", "r_near")
