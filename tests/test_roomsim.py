@@ -178,12 +178,25 @@ def test_scene_far_end_single_talk(rng):
 def test_scene_near_end_single_talk(rng):
     v = speech_like(rng, FS)
     silent = TimeSignal(np.zeros(FS))
-    scene = _small_scene(rng, v, silent)  # a requested SER needs echo energy
-    assert scene.echo_gain == 1.0
-    assert scene.ser_db is None
+    scene = _small_scene(rng, v, silent)
     assert np.array_equal(scene.y.samples, scene.s.samples)
     assert np.array_equal(scene.r.samples, scene.r_near.samples)
     assert np.all(scene.d.samples == 0)
+
+
+def test_scene_zero_energy_source_keeps_unit_gain(rng):
+    # A requested SER needs energy in both sources; with either one silent the
+    # mixing is skipped: unit gain, no SER recorded, same signals as no request.
+    speech = speech_like(rng, FS)
+    silent = TimeSignal(np.zeros(FS))
+    for v, x in ((silent, speech), (speech, silent)):
+        plain = _small_scene(rng, v, x, ser=None)
+        for ser in (0.0, 10.0):
+            scene = _small_scene(rng, v, x, ser=ser)
+            assert scene.echo_gain == 1.0
+            assert scene.ser_db is None
+            for name in ("d", "y", "r_far", "r"):
+                assert np.array_equal(getattr(scene, name).samples, getattr(plain, name).samples)
 
 
 def test_ser_gain_energies(rng):
