@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import TimeSignal, stft_inverse
+from .dsp import TimeSignal
 from .pipeline import (
     RunConfig,
+    _write_outputs,
     eval_dataset,
-    export_features,
     parse_config_file,
     run_dataset,
     run_linear_stage,
@@ -97,14 +97,10 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_run_config(args) -> RunConfig:
-    if args.config:
-        return parse_config_file(_require_file(args.config, "config file"))
-    return RunConfig()
-
-
 def _cmd_run(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = RunConfig()
+    if args.config:
+        cfg = parse_config_file(_require_file(args.config, "config file"))
     if args.manifest:
         run_dataset(
             _require_file(args.manifest, "manifest"),
@@ -119,10 +115,7 @@ def _cmd_run(args) -> int:
     x = read_wav(_require_file(args.x, "far-end signal"))
     r = read_wav(_require_file(args.r, "reference signal"))
     bundle = run_linear_stage(y, x, r, cfg, scene_id="single")
-    out = Path(args.out)
-    write_wav(out / "single.wav", stft_inverse(bundle.resid_ref_masked))
-    if args.export_features:
-        export_features(bundle, out / "single.ecf")
+    _write_outputs(bundle, Path(args.out), args.export_features)
     return 0
 
 

@@ -155,17 +155,3 @@ def stft_inverse(spec: Spectrogram) -> TimeSignal:
     den = den.reshape(-1)[:out_len]
     return TimeSignal(num / np.maximum(den, _OLA_FLOOR), spec.sample_rate)
 
-
-def delay_embed(data: np.ndarray, taps: int) -> np.ndarray:
-    """Delay stacks for every unit at once, shape [n_frames, n_bins, taps].
-
-    Entry [t, f, k] equals data[t-k, f], with frames before index 0 reading
-    as zero.
-    """
-    n_frames, n_bins = data.shape
-    padded = np.concatenate(
-        [np.zeros((taps - 1, n_bins), dtype=data.dtype), data], axis=0
-    )
-    # window index j maps to data[t - (taps-1) + j]; reverse so k counts lags
-    view = sliding_window_view(padded, taps, axis=0)
-    return view[..., ::-1]

@@ -117,8 +117,6 @@ def distort(x, kind: NonlinearityKind):
 
 def apply_nonlinearity(sig: TimeSignal, kind: NonlinearityKind) -> TimeSignal:
     """Sample-wise distortion of a waveform; identity passes bits through."""
-    if kind.family == "identity":
-        return TimeSignal(sig.samples, sig.sample_rate)
     return TimeSignal(distort(sig.samples, kind), sig.sample_rate)
 
 

@@ -24,7 +24,7 @@ from .dsp import (
 )
 from .masking import MaskConfig, apply_mask, compute_mask
 from .metrics import evaluate_estimate, report_record
-from .nonlinear import NonlinearityKind, sample_kind
+from .nonlinear import sample_kind
 from .roomsim import (
     CALIBRATION_CACHE_SIZE,
     SER_GRID_DB,
@@ -249,10 +249,6 @@ def _list_corpus(directory) -> list[Path]:
     return files
 
 
-def _nonlinearity_record(kind: NonlinearityKind) -> dict:
-    return {"family": kind.family, "b": kind.b}
-
-
 def _synth_scene(index: int, *, seed, matched, out, near_files, far_files, duration) -> dict:
     """Synthesize and write scene `index`; returns its manifest record."""
     rng = _scene_rng(seed, index)
@@ -292,7 +288,7 @@ def _synth_scene(index: int, *, seed, matched, out, near_files, far_files, durat
             "main_mic": list(geom.main_mic),
             "ref_mic": list(geom.ref_mic),
         },
-        "nonlinearity": _nonlinearity_record(kind),
+        "nonlinearity": {"family": kind.family, "b": kind.b},
         "ser_db": scene.ser_db,
         "echo_gain": scene.echo_gain,
         "scenario": "DT",
@@ -360,17 +356,22 @@ def read_manifest(path) -> list[dict]:
     return records
 
 
+def _write_outputs(bundle: FeatureBundle, out: Path, export: bool) -> Path:
+    """Write the stage's estimate, the masked-reference residual, as
+    `<scene_id>.wav` in out and, when export is set, the bundle as
+    `<scene_id>.ecf`; returns the estimate's path."""
+    est_path = out / f"{bundle.scene_id}.wav"
+    write_wav(est_path, stft_inverse(bundle.resid_ref_masked))
+    if export:
+        export_features(bundle, out / f"{bundle.scene_id}.ecf")
+    return est_path
+
+
 def _run_scene(rec: dict, *, root: Path, out: Path, cfg: RunConfig, export: bool) -> Path:
     """Run the linear stage on one manifest scene and write its outputs;
     returns the estimate's path."""
-    scene_id = rec["scene_id"]
     y, x, r = (read_wav(root / rec["files"][name]) for name in ("y", "x", "r"))
-    bundle = run_linear_stage(y, x, r, cfg, scene_id=scene_id)
-    est_path = out / f"{scene_id}.wav"
-    write_wav(est_path, stft_inverse(bundle.resid_ref_masked))
-    if export:
-        export_features(bundle, out / f"{scene_id}.ecf")
-    return est_path
+    return _write_outputs(run_linear_stage(y, x, r, cfg, scene_id=rec["scene_id"]), out, export)
 
 
 def run_dataset(

@@ -6,8 +6,10 @@ divides each frame's squared error by an energy-tracking weight so that
 low-energy units do not dominate the fit.
 
 wstws_cancel solves every unit's normal equations A h = b at once, a chunk of
-bins at a time, in four phases over an [entry, bin, frame] buffer that holds
-the Hermitian A as its packed upper triangle with b[i] at the end of row i:
+bins at a time. _chunk_slices plans the chunks and _chunk_stack lays out each
+chunk's delay stack and y, frames innermost. Four phases follow over an
+[entry, bin, frame] buffer that holds the Hermitian A as its packed upper
+triangle with b[i] at the end of row i:
 _products builds the per-frame terms, _windowed_sums turns their cumulative
 sums along frames into sliding-window sums, _factor_solve loads A and solves
 by a Cholesky factorisation A = R^H R written as elementwise passes over all
@@ -19,6 +21,7 @@ the tests check it against live in tests/helpers.py.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from .dsp import Spectrogram, delay_embed
+from .dsp import Spectrogram
 
 WEIGHT_FLOOR = 1e-12
 
@@ -70,10 +73,11 @@ class WienerConfig:
             raise ValueError("taps must be >= 1")
         if self.window_frames < 1:
             raise ValueError("window_frames must be >= 1")
-        if self.floor <= 0:
-            raise ValueError("floor must be > 0")
-        if self.diag_load < 0:
-            raise ValueError("diag_load must be >= 0")
+        # written so that NaN fails too
+        if not 0 < self.floor < math.inf:
+            raise ValueError(f"floor must be finite and > 0, got {self.floor}")
+        if not 0 <= self.diag_load < math.inf:
+            raise ValueError(f"diag_load must be finite and >= 0, got {self.diag_load}")
 
 
 @dataclass(eq=False)
@@ -119,11 +123,31 @@ def _windowed_sums(cum: np.ndarray, window_frames: int) -> np.ndarray:
     return cum
 
 
-def _chunk_bins(taps: int, n_frames: int, n_bins: int, workers: int) -> int:
-    """Bins per chunk under the budget and floor described above."""
+def _chunk_slices(taps: int, n_frames: int, n_bins: int, workers: int) -> list[slice]:
+    """The bins of each chunk, under the budget and floor described above."""
     bin_bytes = 16 * (taps * (taps + 3) // 2) * n_frames
     bins = max(_CHUNK_BYTES // bin_bytes, -(-_CHUNK_UNITS // n_frames))
-    return max(1, min(bins, -(-n_bins // workers)))
+    bins = max(1, min(bins, -(-n_bins // workers)))
+    return [slice(lo, min(n_bins, lo + bins)) for lo in range(0, n_bins, bins)]
+
+
+def _chunk_stack(
+    xt: np.ndarray, yt: np.ndarray, sl: slice, taps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented stack xa [entry, bin, frame] of the bins sl, and their y.
+
+    xt and yt are X and Y transposed to [bin, frame]. xa[k, f, t] = X[t - k, f]
+    for k < taps, zero before frame 0, and xa[taps] = y: the
+    [x_0, ..., x_{taps-1}, y] that _products takes. y is returned apart from
+    xa, which _products conjugates in place.
+    """
+    x, y = xt[sl], yt[sl]
+    n = x.shape[1]
+    xa = np.zeros((taps + 1,) + x.shape, dtype=np.complex128)
+    for k in range(taps):
+        xa[k, :, k:] = x[:, : max(n - k, 0)]
+    xa[taps] = y
+    return xa, y
 
 
 @functools.cache
@@ -235,25 +259,21 @@ def wstws_cancel(
     n_frames, n_bins = Y.data.shape
     taps, window = cfg.taps, cfg.window_frames
 
+    # frames innermost: [bin, frame]
     if cfg.weighted:
-        weights = 1.0 / lambda_weights(Y, window, cfg.floor)
+        wt = np.ascontiguousarray((1.0 / lambda_weights(Y, window, cfg.floor)).T)
     else:
-        weights = np.ones((n_frames, n_bins))
+        wt = np.ones((n_bins, n_frames))
+    xt = np.ascontiguousarray(X.data.T)
+    yt = np.ascontiguousarray(Y.data.T)
 
-    embedded = delay_embed(X.data, taps)
     h_all = np.empty((n_frames, n_bins, taps), dtype=np.complex128)
     degenerate = np.empty((n_frames, n_bins), dtype=bool)
     residual = np.empty_like(Y.data)
 
     def solve_chunk(sl: slice) -> None:
-        # frame-innermost layout [entry, bin, frame]: xa[k, f, t] = X[t - k, f]
-        # for k < taps and xa[taps, f, t] = Y[t, f]; a copy, never a view of
-        # embedded, because _products conjugates it in place
-        y = np.ascontiguousarray(Y.data[:, sl].T)
-        xa = np.empty((taps + 1,) + y.shape, dtype=np.complex128)
-        xa[:taps] = embedded[:, sl, :].transpose(2, 1, 0)
-        xa[taps] = y
-        G = _products(xa, weights[:, sl].T)
+        xa, y = _chunk_stack(xt, yt, sl, taps)
+        G = _products(xa, wt[sl])
         G = _windowed_sums(np.cumsum(G, axis=2, out=G), window)
         h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
         del G
@@ -262,8 +282,7 @@ def wstws_cancel(
         degenerate[:, sl] = bad.T
 
     workers = _n_workers()
-    chunk = _chunk_bins(taps, n_frames, n_bins, workers)
-    slices = [slice(lo, min(n_bins, lo + chunk)) for lo in range(0, n_bins, chunk)]
+    slices = _chunk_slices(taps, n_frames, n_bins, workers)
     if len(slices) == 1 or workers == 1:
         for sl in slices:
             solve_chunk(sl)

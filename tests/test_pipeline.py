@@ -384,6 +384,11 @@ def test_config_file_errors_name_their_line_and_section(tmp_path):
         ("mask.compression = high",
          f"{bad}:2: mask.compression: could not convert string to float: 'high'"),
         ("wiener_ref.taps = 0", f"{bad}: wiener_ref: taps must be >= 1"),
+        ("wiener_main.diag_load = nan",
+         f"{bad}: wiener_main: diag_load must be finite and >= 0, got nan"),
+        ("wiener_ref.floor = inf", f"{bad}: wiener_ref: floor must be finite and > 0, got inf"),
+        ("wiener_main.floor = -inf",
+         f"{bad}: wiener_main: floor must be finite and > 0, got -inf"),
     ]
     for line, message in cases:
         bad.write_text(f"# one bad line\n{line}\n")

@@ -3,7 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import dense_normal_equations, lambda_weight, lstsq_weighted, random_spectrogram
+from helpers import (
+    delay_stack,
+    dense_normal_equations,
+    lambda_weight,
+    lstsq_weighted,
+    random_spectrogram,
+)
 
 from refaec import Spectrogram, StftConfig, WienerConfig, wstws_cancel
 from refaec import wiener
@@ -254,11 +260,39 @@ def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
     ],
 )
 def test_chunk_plan(taps, n_frames, bins):
-    assert wiener._chunk_bins(taps, n_frames, 161, 2) == bins
+    slices = wiener._chunk_slices(taps, n_frames, 161, 2)
+    sizes = [s.stop - s.start for s in slices]
+    assert sizes[0] == bins and max(sizes) == bins and min(sizes) > 0
+    # the slices tile 0 ... n_bins in order
+    assert [s.start for s in slices] + [161] == [0] + [s.stop for s in slices]
     # no chunk takes more than the 20-tap chunk of a 6 s scene (4 bins of 599
     # frames), unless one bin alone does
     bin_bytes = 16 * (taps * (taps + 3) // 2) * n_frames
     assert bins * bin_bytes <= 4 * 16 * 230 * 599 or bins == 1
+
+
+def test_chunk_stack_matches_delay_stack(rng):
+    n_frames, taps = 20, 5
+    Y = random_spectrogram(rng, n_frames)
+    X = random_spectrogram(rng, n_frames)
+    sl = slice(79, 83)
+    xa, y = wiener._chunk_stack(X.data.T, Y.data.T, sl, taps)
+    assert xa.shape == (taps + 1, 4, n_frames)
+    for t in range(n_frames):
+        for j, f in enumerate(range(sl.start, sl.stop)):
+            # X[t - k, f] at lag k, zero before frame 0
+            assert np.array_equal(xa[:taps, j, t], delay_stack(X, t, f, taps))
+    assert np.all(xa[1:taps, :, 0] == 0)
+    assert np.array_equal(xa[taps], Y.data[:, sl].T)
+    assert np.array_equal(y, Y.data[:, sl].T)
+    # one tap is X itself
+    xa1, _ = wiener._chunk_stack(X.data.T, Y.data.T, sl, 1)
+    assert np.array_equal(xa1[0], X.data[:, sl].T)
+    # more taps than frames: the late lags are all zero
+    xa_short, _ = wiener._chunk_stack(X.data[:2].T, Y.data[:2].T, sl, taps)
+    assert np.array_equal(xa_short[0], X.data[:2, sl].T)
+    assert np.array_equal(xa_short[1, :, 1], X.data[0, sl])
+    assert np.all(xa_short[1, :, 0] == 0) and np.all(xa_short[2:taps] == 0)
 
 
 def test_causality_prefix_with_split_chunks(rng, monkeypatch):
@@ -329,6 +363,21 @@ def test_config_validation():
         WienerConfig(floor=0.0)
     with pytest.raises(ValueError):
         WienerConfig(diag_load=-1e-9)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("floor", float("nan")),
+        ("floor", float("inf")),
+        ("diag_load", float("nan")),
+        ("diag_load", float("inf")),
+    ],
+)
+def test_config_rejects_non_finite_settings(field, value):
+    bound = "> 0" if field == "floor" else ">= 0"
+    with pytest.raises(ValueError, match=f"^{field} must be finite and {bound}, got {value}$"):
+        WienerConfig(**{field: value})
 
 
 def test_shape_mismatch_raises(rng):
