@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import TimeSignal
+from .dsp import DEFAULT_SAMPLE_RATE, TimeSignal
 from .pipeline import (
     RunConfig,
     _write_outputs,
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rir.add_argument("--t60", type=float, required=True)
     p_rir.add_argument("--src", type=float, nargs=3, metavar=("X", "Y", "Z"))
     p_rir.add_argument("--mic", type=float, nargs=3, metavar=("X", "Y", "Z"))
-    p_rir.add_argument("--sample-rate", type=int, default=16000)
+    p_rir.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
     p_rir.add_argument("--seed", type=int, default=0)
     p_rir.add_argument("--out", required=True)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
+from scipy.signal.windows import hamming
 
 DEFAULT_SAMPLE_RATE = 16000
 
@@ -53,11 +53,11 @@ class TimeSignal:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis/synthesis parameters. Defaults are 20 ms windows with 10 ms hop at 16 kHz."""
+    """Analysis/synthesis parameters. Defaults are 20 ms windows with 10 ms hop at 16 kHz.
+    Frames are weighted by the periodic Hamming window."""
 
     window_len: int = 320
     hop: int = 160
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.window_len <= 0 or self.window_len % 2 != 0:
@@ -77,7 +77,7 @@ class StftConfig:
         return 1 + (n_samples - self.window_len) // self.hop
 
     def analysis_window(self) -> np.ndarray:
-        return get_window(self.window, self.window_len, fftbins=True)
+        return hamming(self.window_len, sym=False)
 
 
 @dataclass(eq=False)

@@ -39,11 +39,12 @@ class RatioMask:
 
 
 def mask_from_estimates(far_mag: np.ndarray, near_mag: np.ndarray) -> np.ndarray:
-    """|far| / (|far| + |near|), with silent units (0/0) mapped to 0."""
+    """|far| / (|far| + |near|), with silent units (0/0) mapped to 0. With
+    |near| >= 0 the rounded sum is at least |far|, so no quotient exceeds 1."""
     total = far_mag + near_mag
     out = np.zeros_like(total)
     np.divide(far_mag, total, out=out, where=total > 0)
-    return np.clip(out, 0.0, 1.0)
+    return out
 
 
 def compute_mask(

@@ -9,7 +9,7 @@ number of CPUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -120,13 +120,6 @@ def evaluate_estimate(
 
 
 def report_record(report: MetricReport, scene_id: str) -> dict:
-    """Flat serializable record for one scene, with the fixed field names."""
-    return {
-        "scene_id": scene_id,
-        "scenario": report.scenario,
-        "erle_db": report.erle_db,
-        "sdr_db": report.sdr_db,
-        "s_sisnr_db": report.s_sisnr_db,
-        "ri_mag_loss": report.ri_mag_loss,
-        "pesq": "unavailable",
-    }
+    """Flat serializable record for one scene: its id, MetricReport's fields
+    in their order, and the PESQ placeholder."""
+    return {"scene_id": scene_id, **asdict(report), "pesq": "unavailable"}

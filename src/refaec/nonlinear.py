@@ -31,16 +31,15 @@ class NonlinearityKind:
     b: float | None = None
 
     def __post_init__(self):
-        if self.family in MATCHED_FAMILIES:
-            if self.b is None:
-                raise ValueError(f"{self.family} requires parameter b")
-            if not _B_RANGE[0] <= self.b <= _B_RANGE[1]:
-                raise ValueError(f"b={self.b} outside [{_B_RANGE[0]}, {_B_RANGE[1]}]")
-        elif self.family in MISMATCHED_FAMILIES or self.family == "identity":
+        if self.family not in _MODELS:
+            raise ValueError(f"unknown nonlinearity family: {self.family}")
+        if self.family not in MATCHED_FAMILIES:
             if self.b is not None:
                 raise ValueError(f"{self.family} takes no parameter")
-        else:
-            raise ValueError(f"unknown nonlinearity family: {self.family}")
+        elif self.b is None:
+            raise ValueError(f"{self.family} requires parameter b")
+        elif not _B_RANGE[0] <= self.b <= _B_RANGE[1]:
+            raise ValueError(f"b={self.b} outside [{_B_RANGE[0]}, {_B_RANGE[1]}]")
 
 
 def saturating(x, b: float):
@@ -98,21 +97,21 @@ def sigmoid_stage(x):
         return SIGMOID_GAIN * (1.0 / (1.0 + np.exp(-nu * z)) - 0.5)
 
 
+# every family's response to raw samples, called as model(x, b); only the
+# matched families take the shape parameter b, the others get None
+_MODELS = {
+    "identity": lambda x, _: np.asarray(x, dtype=np.float64),
+    "saturating": saturating,
+    "exponential": exponential,
+    "polynomial": polynomial,
+    "hard_clip_sigmoid": lambda x, _: sigmoid_stage(hard_clip(x)),
+    "soft_clip_sigmoid": lambda x, _: sigmoid_stage(soft_clip(x)),
+}
+
+
 def distort(x, kind: NonlinearityKind):
     """Apply one distortion model to raw samples."""
-    if kind.family == "identity":
-        return np.asarray(x, dtype=np.float64)
-    if kind.family == "saturating":
-        return saturating(x, kind.b)
-    if kind.family == "exponential":
-        return exponential(x, kind.b)
-    if kind.family == "polynomial":
-        return polynomial(x, kind.b)
-    if kind.family == "hard_clip_sigmoid":
-        return sigmoid_stage(hard_clip(x))
-    if kind.family == "soft_clip_sigmoid":
-        return sigmoid_stage(soft_clip(x))
-    raise ValueError(f"unknown nonlinearity family: {kind.family}")
+    return _MODELS[kind.family](x, kind.b)
 
 
 def apply_nonlinearity(sig: TimeSignal, kind: NonlinearityKind) -> TimeSignal:

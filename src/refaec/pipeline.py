@@ -141,8 +141,9 @@ def run_linear_stage(
 
 
 def export_features(bundle: FeatureBundle, path) -> None:
-    """Write the bundle as little-endian interleaved float32, frame-major,
-    behind a fixed 28-byte header. Bit-exact across platforms."""
+    """Write the bundle as little-endian complex64, (real f32, imag f32) per
+    unit, frame-major, behind a fixed 28-byte header. Bit-exact across
+    platforms."""
     cfg = bundle.config
     n_frames, n_bins = bundle.mic.data.shape
     path = Path(path)
@@ -160,15 +161,12 @@ def export_features(bundle: FeatureBundle, path) -> None:
             )
         )
         for spec in bundle.signals():
-            interleaved = np.empty((n_frames, n_bins, 2), dtype="<f4")
-            interleaved[..., 0] = spec.data.real
-            interleaved[..., 1] = spec.data.imag
-            fh.write(interleaved.tobytes())
+            fh.write(spec.data.astype("<c8").tobytes())
 
 
 def read_features(path) -> tuple[dict, list[np.ndarray]]:
     """Read a feature file back; returns the header fields and the seven
-    complex64 matrices in bundle order."""
+    writable complex64 matrices in bundle order, every bit as written."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise FeatureFormatError("file shorter than the header")
@@ -190,13 +188,8 @@ def read_features(path) -> tuple[dict, list[np.ndarray]]:
         "window_len": window_len,
         "hop": hop,
     }
-    flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    per_signal = flat.reshape(n_signals, n_frames, n_bins, 2)
-    signals = [
-        (per_signal[i, ..., 0] + 1j * per_signal[i, ..., 1]).astype(np.complex64)
-        for i in range(n_signals)
-    ]
-    return header, signals
+    data = np.frombuffer(raw, dtype="<c8", offset=_HEADER.size)
+    return header, list(data.reshape(n_signals, n_frames, n_bins).astype(np.complex64))
 
 
 def _map_scenes(fn, items: list) -> list:
@@ -276,19 +269,9 @@ def _synth_scene(index: int, *, seed, matched, out, near_files, far_files, durat
         "index": index,
         "base_seed": seed,
         "files": files,
-        "room": {
-            "length": room.length,
-            "width": room.width,
-            "height": room.height,
-            "t60": room.t60,
-        },
-        "geometry": {
-            "loudspeaker": list(geom.loudspeaker),
-            "talker": list(geom.talker),
-            "main_mic": list(geom.main_mic),
-            "ref_mic": list(geom.ref_mic),
-        },
-        "nonlinearity": {"family": kind.family, "b": kind.b},
+        "room": dataclasses.asdict(room),
+        "geometry": dataclasses.asdict(geom),
+        "nonlinearity": dataclasses.asdict(kind),
         "ser_db": scene.ser_db,
         "echo_gain": scene.echo_gain,
         "scenario": "DT",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -281,7 +282,9 @@ def wstws_cancel(
         h_all[:, sl, :] = h.transpose(2, 1, 0)
         degenerate[:, sl] = bad.T
 
-    workers = _n_workers()
+    # a child process, such as a scene worker, solves on one thread: the
+    # scene pool already runs one worker per CPU
+    workers = 1 if multiprocessing.parent_process() else _n_workers()
     slices = _chunk_slices(taps, n_frames, n_bins, workers)
     if len(slices) == 1 or workers == 1:
         for sl in slices:

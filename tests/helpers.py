@@ -5,6 +5,8 @@ from the library (dense loops, lstsq, direct DFTs) so the tests stay
 meaningful.
 """
 
+import struct
+
 import numpy as np
 from scipy.signal import lfilter
 
@@ -33,6 +35,19 @@ def random_spectrogram(rng, n_frames, cfg=None, scale=1.0):
     shape = (n_frames, cfg.n_bins)
     data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return Spectrogram(data, cfg)
+
+
+def ecf_bytes(bundle) -> bytes:
+    """The .ecf file of a feature bundle, packed value by value with struct:
+    the 28-byte header, then each signal frame by frame, each unit as its
+    real and imaginary parts in little-endian float32."""
+    n_frames, n_bins = bundle.mic.data.shape
+    cfg = bundle.config
+    parts = [struct.pack("<4sIIIIII", b"ECF1", 1, n_frames, n_bins, 7, cfg.window_len, cfg.hop)]
+    for spec in bundle.signals():
+        for value in spec.data.ravel():
+            parts.append(struct.pack("<ff", value.real, value.imag))
+    return b"".join(parts)
 
 
 def frame_loop_istft(spec):

@@ -5,14 +5,17 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import speech_like
+from helpers import ecf_bytes, random_spectrogram, speech_like
+from scipy.signal import windows
 
 import refaec
 from refaec import (
+    FeatureBundle,
     NonlinearityKind,
     RoomSpec,
     RunConfig,
     SceneGeometry,
+    Spectrogram,
     TimeSignal,
     WienerConfig,
     export_features,
@@ -21,7 +24,7 @@ from refaec import (
     synth_dataset,
     synthesize_scene,
 )
-from refaec import pipeline, roomsim
+from refaec import pipeline, roomsim, wiener
 from refaec.masking import apply_mask, compute_mask
 from refaec.pipeline import (
     FeatureFormatError,
@@ -131,6 +134,26 @@ def test_export_header_and_size_roundtrip(rng, tmp_path):
     }
     for spec, loaded in zip(bundle.signals(), signals):
         assert np.allclose(loaded, spec.data.astype(np.complex64), atol=0.0)
+    assert path.read_bytes() == ecf_bytes(bundle)
+
+
+def test_export_roundtrips_every_bit_signed_zeros_included(rng, tmp_path):
+    cfg = RunConfig().stft
+    specs = []
+    for _ in range(7):
+        data = rng.standard_normal((3, cfg.n_bins)) + 1j * rng.standard_normal((3, cfg.n_bins))
+        data[0, :4] = [complex(1.0, -0.0), complex(-0.0, 2.0), complex(-0.0, -0.0), 0.0]
+        specs.append(Spectrogram(data, cfg))
+    bundle = FeatureBundle(*specs)
+    path = tmp_path / "signed.ecf"
+    export_features(bundle, path)
+    assert path.read_bytes() == ecf_bytes(bundle)
+    _, signals = read_features(path)
+    assert len(signals) == 7
+    for spec, loaded in zip(specs, signals):
+        assert loaded.dtype == np.complex64 and loaded.flags.writeable
+        assert loaded.tobytes() == spec.data.astype(np.complex64).tobytes()
+        assert np.signbit(loaded[0, 0].imag) and np.signbit(loaded[0, 1].real)
 
 
 def test_export_rejects_corrupted_magic(rng, tmp_path):
@@ -199,6 +222,11 @@ def test_synth_dataset_deterministic_and_complete(rng, tmp_path):
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
         assert -10 <= rec["ser_db"] <= 10
         assert rec["scenario"] == "DT"
+        # the blocks keep the key order of earlier manifests
+        assert list(rec["room"]) == ["length", "width", "height", "t60"]
+        assert list(rec["geometry"]) == ["loudspeaker", "talker", "main_mic", "ref_mic"]
+        assert all(len(p) == 3 for p in rec["geometry"].values())
+        assert list(rec["nonlinearity"]) == ["family", "b"]
 
 
 def test_synth_dataset_six_second_default_length(rng, tmp_path):
@@ -337,6 +365,25 @@ def test_scenes_fork_only_while_no_other_thread_runs(monkeypatch):
     assert not thread.is_alive()
 
 
+def _cancel_scene(seed):
+    rng = np.random.default_rng(seed)
+    Y, X = (random_spectrogram(rng, 30) for _ in range(2))
+    return wstws_cancel(Y, X, WienerConfig(taps=4, window_frames=16))[0].data
+
+
+def test_scene_workers_solve_on_one_thread(monkeypatch):
+    expected = [_cancel_scene(seed) for seed in (0, 1)]
+    monkeypatch.setattr(pipeline, "_n_workers", lambda: 2)
+    monkeypatch.setattr(wiener, "_n_workers", lambda: 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a scene worker started a solver thread pool")
+
+    monkeypatch.setattr(wiener, "ThreadPoolExecutor", no_pool)
+    results = pipeline._map_scenes(_cancel_scene, [0, 1])
+    assert all(np.array_equal(got, want) for got, want in zip(results, expected, strict=True))
+
+
 def test_config_file_parsing(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
@@ -369,7 +416,12 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError):
         parse_config_file(bad)
     # removed settings fail like any other unknown key
-    for line in ("seed = 7", "wiener_main.lambda_mode = frozen", "mask.ref_taps = 2"):
+    for line in (
+        "seed = 7",
+        "wiener_main.lambda_mode = frozen",
+        "mask.ref_taps = 2",
+        "stft.window = hann",
+    ):
         bad.write_text(line + "\n")
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(bad)
@@ -415,7 +467,7 @@ def test_public_names_resolve_and_are_unique():
 def test_default_run_config_matches_tuned_operating_point():
     cfg = RunConfig()
     assert cfg.stft.window_len == 320 and cfg.stft.hop == 160
-    assert cfg.stft.window == "hamming"
+    assert np.array_equal(cfg.stft.analysis_window(), windows.hamming(320, sym=False))
     assert cfg.wiener_main.taps == 20
     assert cfg.wiener_main.window_frames == 200
     assert cfg.wiener_main.floor == pytest.approx(1e-3)
