@@ -26,9 +26,8 @@ from .masking import MaskConfig, apply_mask, compute_mask
 from .metrics import evaluate_estimate, report_record
 from .nonlinear import sample_kind
 from .roomsim import (
-    CALIBRATION_CACHE_SIZE,
+    DEFAULT_DURATION,
     SER_GRID_DB,
-    calibrated_reflectivity,
     sample_geometry,
     sample_room,
     synthesize_scene,
@@ -199,10 +198,9 @@ def _map_scenes(fn, items: list) -> list:
     of forked worker processes, one per CPU in the affinity mask and at most
     one per scene. A scene's arithmetic is the same wherever it runs, so
     outputs do not depend on the worker count. A worker's exception is raised
-    here, for the first failing item. Forked workers inherit the parent's
-    memory, warm caches included. The items run inline with one worker, where
-    processes cannot fork, or while other threads run: a fork copies any lock
-    another thread holds, and nothing in the child would release it.
+    here, for the first failing item. The items run inline with one worker,
+    where processes cannot fork, or while other threads run: a fork copies any
+    lock another thread holds, and nothing in the child would release it.
     """
     workers = min(len(items), _n_workers())
     if (
@@ -227,8 +225,6 @@ def _load_corpus_clip(path, rng: np.random.Generator, n: int) -> TimeSignal:
     if len(x) > n:
         offset = int(rng.integers(0, len(x) - n + 1))
         x = x[offset : offset + n]
-    elif len(x) < n:
-        x = np.concatenate([x, np.zeros(n - len(x))])
     peak = np.max(np.abs(x))
     if peak > 0:
         x = x * (CORPUS_PEAK / peak)
@@ -288,7 +284,7 @@ def synth_dataset(
     seed: int,
     corpus_near,
     corpus_far,
-    duration: float = 6.0,
+    duration: float = DEFAULT_DURATION,
 ) -> Path:
     """Synthesize `count` double-talk scenes from corpus clips at
     DEFAULT_SAMPLE_RATE and write waveforms plus a manifest. Every scene is
@@ -310,14 +306,7 @@ def synth_dataset(
         far_files=far_files,
         duration=duration,
     )
-    records = []
-    for lo in range(0, count, CALIBRATION_CACHE_SIZE):
-        indices = list(range(lo, min(count, lo + CALIBRATION_CACHE_SIZE)))
-        # calibrate the rooms before the workers fork: they inherit the warm
-        # cache, so each room is calibrated once, here
-        for index in indices:
-            calibrated_reflectivity(sample_room(_scene_rng(seed, index)))
-        records += _map_scenes(synth, indices)
+    records = _map_scenes(synth, list(range(count)))
 
     manifest = out / MANIFEST_NAME
     with open(manifest, "w") as fh:

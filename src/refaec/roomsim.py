@@ -6,7 +6,6 @@ ratio."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -27,7 +26,6 @@ WIDTH_RANGE = (3.0, 7.0)
 HEIGHT_RANGE = (3.0, 5.0)
 T60_RANGE = (0.1, 0.8)
 SER_GRID_DB = np.arange(-10, 11)
-CALIBRATION_CACHE_SIZE = 256  # rooms whose calibrated reflectivity is kept
 
 
 class GeometryError(ValueError):
@@ -50,8 +48,8 @@ class RoomSpec:
             raise ValueError(f"width {self.width} outside {WIDTH_RANGE}")
         if not HEIGHT_RANGE[0] <= self.height <= HEIGHT_RANGE[1]:
             raise ValueError(f"height {self.height} outside {HEIGHT_RANGE}")
-        if self.t60 <= 0:
-            raise ValueError("t60 must be > 0")
+        if not T60_RANGE[0] <= self.t60 <= T60_RANGE[1]:
+            raise ValueError(f"t60 {self.t60} outside {T60_RANGE}")
 
     @property
     def dims(self) -> np.ndarray:
@@ -90,11 +88,6 @@ def _point(p) -> np.ndarray:
     return arr
 
 
-def _check_in_room(room: RoomSpec, p: np.ndarray, label: str, margin: float = WALL_MARGIN):
-    if np.any(p < margin) or np.any(p > room.dims - margin):
-        raise GeometryError(f"{label} at {p} violates the {margin} m wall margin")
-
-
 def validate_geometry(room: RoomSpec, geom: SceneGeometry) -> None:
     points = {
         "loudspeaker": _point(geom.loudspeaker),
@@ -103,7 +96,8 @@ def validate_geometry(room: RoomSpec, geom: SceneGeometry) -> None:
         "ref_mic": _point(geom.ref_mic),
     }
     for label, p in points.items():
-        _check_in_room(room, p, label)
+        if np.any(p < WALL_MARGIN) or np.any(p > room.dims - WALL_MARGIN):
+            raise GeometryError(f"{label} at {p} violates the {WALL_MARGIN} m wall margin")
     shell = np.linalg.norm(points["ref_mic"] - points["loudspeaker"])
     if not REF_SHELL_RADII[0] <= shell <= REF_SHELL_RADII[1]:
         raise GeometryError(
@@ -213,10 +207,6 @@ def calibrated_reflectivity(room: RoomSpec, sample_rate: int = DEFAULT_SAMPLE_RA
     seed is refined by measuring trial responses on a fixed interior path and
     rescaling the log-reflectivity until the measured decay matches.
     """
-    return _calibrated_reflectivity_cached(room, sample_rate)
-
-
-def _calibrated_reflectivity_uncached(room: RoomSpec, sample_rate: int) -> float:
     # the trials differ only in beta, so the image lattice is built once
     n_samples, images = _image_lattice(room, *_calibration_path(room), sample_rate)
     beta = room.eyring_reflectivity()
@@ -233,9 +223,18 @@ def _calibrated_reflectivity_uncached(room: RoomSpec, sample_rate: int) -> float
     return beta
 
 
-_calibrated_reflectivity_cached = lru_cache(maxsize=CALIBRATION_CACHE_SIZE)(
-    _calibrated_reflectivity_uncached
-)
+def _path_rir(room: RoomSpec, src, mic, sample_rate: int, beta: float) -> np.ndarray:
+    """Response between two points strictly inside the room, accumulated at
+    wall reflectivity beta."""
+    src = _point(src)
+    mic = _point(mic)
+    dims = room.dims
+    if np.any(src <= 0) or np.any(src >= dims) or np.any(mic <= 0) or np.any(mic >= dims):
+        raise GeometryError("source and microphone must lie strictly inside the room")
+    direct = float(np.linalg.norm(src - mic))
+    if direct < MIN_SOURCE_MIC_DIST:
+        raise GeometryError(f"source and microphone are {direct:.4f} m apart (< 1 cm)")
+    return _lattice_rir(*_image_lattice(room, src, mic, sample_rate), beta)
 
 
 def image_method_rir(
@@ -249,16 +248,19 @@ def image_method_rir(
     Images accumulate at integer sample delays with 1/(4*pi*d) spreading and
     uniform, decay-calibrated wall reflectivity.
     """
-    src = _point(src)
-    mic = _point(mic)
-    dims = room.dims
-    if np.any(src <= 0) or np.any(src >= dims) or np.any(mic <= 0) or np.any(mic >= dims):
-        raise GeometryError("source and microphone must lie strictly inside the room")
-    direct = float(np.linalg.norm(src - mic))
-    if direct < MIN_SOURCE_MIC_DIST:
-        raise GeometryError(f"source and microphone are {direct:.4f} m apart (< 1 cm)")
+    return _path_rir(room, src, mic, sample_rate, calibrated_reflectivity(room, sample_rate))
+
+
+def _scene_rirs(room: RoomSpec, geom: SceneGeometry, sample_rate: int) -> tuple[np.ndarray, ...]:
+    """The scene's four responses, talker and loudspeaker to the main mic,
+    then to the reference mic, each equal to its image_method_rir. The room is
+    calibrated once for all four."""
     beta = calibrated_reflectivity(room, sample_rate)
-    return _lattice_rir(*_image_lattice(room, src, mic, sample_rate), beta)
+    return tuple(
+        _path_rir(room, src, mic, sample_rate, beta)
+        for mic in (geom.main_mic, geom.ref_mic)
+        for src in (geom.talker, geom.loudspeaker)
+    )
 
 
 def _convolve(samples: np.ndarray, rir: np.ndarray, n: int) -> np.ndarray:
@@ -357,10 +359,7 @@ def synthesize_scene(
     v = _fit_length(v, n)
     x = _fit_length(x, n)
 
-    h1 = image_method_rir(room, geom.talker, geom.main_mic, fs)
-    h2 = image_method_rir(room, geom.loudspeaker, geom.main_mic, fs)
-    h3 = image_method_rir(room, geom.talker, geom.ref_mic, fs)
-    h4 = image_method_rir(room, geom.loudspeaker, geom.ref_mic, fs)
+    h1, h2, h3, h4 = _scene_rirs(room, geom, fs)
 
     x_nl = apply_nonlinearity(x, kind)
     s_direct, s_reverb = split_direct(v, h1)

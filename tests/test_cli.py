@@ -66,6 +66,14 @@ def test_rir_generation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rir_rejects_t60_outside_range(tmp_path, capsys):
+    out = tmp_path / "h.wav"
+    code = main(["rir", "--room", "5.0", "4.0", "3.0", "--t60", "nan", "--out", str(out)])
+    assert code == 1
+    assert "t60 nan outside (0.1, 0.8)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rir_rejects_bad_geometry(tmp_path, capsys):
     code = main(
         [

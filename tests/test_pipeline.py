@@ -321,19 +321,21 @@ def test_run_and_eval_dataset(rng, tmp_path):
         eval_dataset(manifest, tmp_path / "missing", tmp_path / "r2.jsonl")
 
 
-def test_worker_synth_calibrates_each_room_once_in_the_parent(rng, tmp_path, monkeypatch):
+def test_inline_synth_calibrates_each_room_once(rng, tmp_path, monkeypatch):
     _write_corpus(rng, tmp_path / "near", 2)
     _write_corpus(rng, tmp_path / "far", 2)
-    monkeypatch.setattr(pipeline, "_n_workers", lambda: 2)
-    cache = roomsim._calibrated_reflectivity_cached
-    cache.cache_clear()
+    monkeypatch.setattr(pipeline, "_n_workers", lambda: 1)
+    calibrate = roomsim.calibrated_reflectivity
+    rooms = []
+
+    def counted(room, *args):
+        rooms.append(room)
+        return calibrate(room, *args)
+
+    monkeypatch.setattr(roomsim, "calibrated_reflectivity", counted)
     manifest = synth_dataset(3, True, tmp_path / "out", 4, tmp_path / "near", tmp_path / "far",
                              duration=1.0)
-    rooms = {json.dumps(rec["room"], sort_keys=True) for rec in read_manifest(manifest)}
-    info = cache.cache_info()
-    assert info.misses == len(rooms)
-    # the scenes' own lookups happened in the workers, not here
-    assert info.hits == 0
+    assert [RoomSpec(**rec["room"]) for rec in read_manifest(manifest)] == rooms
 
 
 def test_worker_exception_reaches_the_caller(rng, tmp_path, monkeypatch):

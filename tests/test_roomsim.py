@@ -78,6 +78,33 @@ def test_calibration_and_rir_match_per_image_accumulation(rng):
         assert np.array_equal(h, image_source_rir(room, geom.talker, geom.main_mic, FS, beta))
 
 
+def test_scene_rirs_equal_image_method_rirs(rng):
+    room = sample_room(rng, t60_range=(0.1, 0.3))
+    geom = sample_geometry(room, rng)
+    paths = [
+        (geom.talker, geom.main_mic),
+        (geom.loudspeaker, geom.main_mic),
+        (geom.talker, geom.ref_mic),
+        (geom.loudspeaker, geom.ref_mic),
+    ]
+    rirs = roomsim._scene_rirs(room, geom, FS)
+    assert len(rirs) == len(paths)
+    for h, (src, mic) in zip(rirs, paths):
+        assert np.array_equal(h, image_method_rir(room, src, mic, FS))
+
+
+def test_scene_calibrates_its_room_once(rng, monkeypatch):
+    calls = []
+
+    def counted(room, sample_rate=FS):
+        calls.append((room, sample_rate))
+        return calibrated_reflectivity(room, sample_rate)
+
+    monkeypatch.setattr(roomsim, "calibrated_reflectivity", counted)
+    scene = _small_scene(rng, speech_like(rng, FS), speech_like(rng, FS))
+    assert calls == [(scene.room, FS)]
+
+
 def test_rir_geometry_errors():
     room = RoomSpec(5.0, 4.0, 3.0, t60=0.3)
     with pytest.raises(GeometryError):
@@ -298,10 +325,7 @@ def test_reference_mic_sees_stronger_far_to_near_ratio(rng):
         main_mic=(3.0, 2.5, 1.4),
         ref_mic=(1.55, 1.5, 1.5),
     )
-    h1 = image_method_rir(room, geom.talker, geom.main_mic, FS)
-    h2 = image_method_rir(room, geom.loudspeaker, geom.main_mic, FS)
-    h3 = image_method_rir(room, geom.talker, geom.ref_mic, FS)
-    h4 = image_method_rir(room, geom.loudspeaker, geom.ref_mic, FS)
+    h1, h2, h3, h4 = roomsim._scene_rirs(room, geom, FS)
     ratio_ref = np.dot(h4, h4) / np.dot(h3, h3)
     ratio_main = np.dot(h2, h2) / np.dot(h1, h1)
     assert ratio_ref > ratio_main
@@ -321,6 +345,9 @@ def test_room_spec_validation():
         RoomSpec(3.0, 4.0, 3.0, t60=0.3)  # length below supported range
     with pytest.raises(ValueError):
         RoomSpec(5.0, 4.0, 3.0, t60=0.0)
+    for t60 in (float("nan"), float("inf"), 0.09, 0.81):
+        with pytest.raises(ValueError, match=r"outside \(0\.1, 0\.8\)"):
+            RoomSpec(5.0, 4.0, 3.0, t60=t60)
 
 
 _DT_SCENE = """
