@@ -90,8 +90,8 @@ class Spectrogram:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 2:
-            raise ValueError(f"spectrogram must be 2-D, got shape {self.data.shape}")
+        if self.data.ndim != 2 or len(self.data) == 0:
+            raise ValueError(f"spectrogram must be 2-D with frames, got shape {self.data.shape}")
         if self.data.shape[1] != self.config.n_bins:
             raise ValueError(
                 f"spectrogram has {self.data.shape[1]} bins, config expects {self.config.n_bins}"

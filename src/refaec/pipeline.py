@@ -378,6 +378,10 @@ def eval_dataset(manifest_path, estimates_dir, report_path) -> list[dict]:
         y = read_wav(root / rec["files"]["y"])
         s_direct = read_wav(root / rec["files"]["sd"])
         estimate = read_wav(est_path)
+        if estimate.sample_rate != y.sample_rate:
+            raise ValueError(
+                f"estimate {est_path} at {estimate.sample_rate} Hz, scene at {y.sample_rate} Hz"
+            )
         n = min(len(y), len(estimate))
         report = evaluate_estimate(
             rec["scenario"],

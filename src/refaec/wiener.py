@@ -10,12 +10,12 @@ bins at a time. _chunk_slices plans the chunks and _chunk_stack lays out each
 chunk's delay stack and y, frames innermost. Four phases follow over an
 [entry, bin, frame] buffer that holds the Hermitian A as its packed upper
 triangle with b[i] at the end of row i:
-_products builds the per-frame terms, _windowed_sums turns their cumulative
-sums along frames into sliding-window sums, _factor_solve loads A and solves
-by a Cholesky factorisation A = R^H R written as elementwise passes over all
-units, and _residual applies the taps. A unit whose loaded A is not
-numerically positive definite gets the zero filter. The per-unit oracles that
-the tests check it against live in tests/helpers.py.
+_products builds the per-frame terms, _windowed_sums sums them over each
+sliding window, _factor_solve loads A and solves by a Cholesky factorisation
+A = R^H R written as elementwise passes over all units, and _residual applies
+the taps. A unit whose loaded A is not numerically positive definite gets the
+zero filter. The per-unit oracles that the tests check it against live in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ WEIGHT_FLOOR = 1e-12
 
 # Bins are solved in chunks. A chunk's buffer holds, per bin and frame, the
 # packed upper triangle of the tap covariance and the cross-correlation
-# vector, 16 * (taps * (taps + 3) / 2) * frames * bins bytes; it stays near
+# vector, 16 * rows * frames * bins bytes (rows from _layout); it stays near
 # _CHUNK_BYTES so each worker's passes over it run from cache, but spans at
 # least _CHUNK_UNITS frame-bins so every numpy call has enough elements to
 # amortise its interpreter overhead. At least one bin per chunk, at least one
@@ -109,24 +109,23 @@ def lambda_weights(Y: Spectrogram, window_frames: int, floor: float) -> np.ndarr
     return lam
 
 
-def _windowed_sums(cum: np.ndarray, window_frames: int) -> np.ndarray:
-    """Sliding sums over [t - window_frames, t] from cumulative sums along the
-    last axis, formed in place and returned.
-
-    Blocks of at most window_frames + 1 frames are taken from the end, so each
-    block subtracts frames that are still cumulative sums.
-    """
-    n = cum.shape[-1]
+def _windowed_sums(G: np.ndarray, window_frames: int) -> np.ndarray:
+    """Sliding sums over [t - window_frames, t] of the per-frame terms G along
+    the last axis, formed in place and returned: G is summed cumulatively,
+    then blocks of at most window_frames + 1 frames are taken from the end, so
+    each block subtracts frames that are still cumulative sums."""
+    np.cumsum(G, axis=-1, out=G)
+    n = G.shape[-1]
     span = window_frames + 1
     for hi in range(n, span, -span):
         lo = max(span, hi - span)
-        cum[..., lo:hi] -= cum[..., lo - span : hi - span]
-    return cum
+        G[..., lo:hi] -= G[..., lo - span : hi - span]
+    return G
 
 
 def _chunk_slices(taps: int, n_frames: int, n_bins: int, workers: int) -> list[slice]:
     """The bins of each chunk, under the budget and floor described above."""
-    bin_bytes = 16 * (taps * (taps + 3) // 2) * n_frames
+    bin_bytes = 16 * _layout(taps)[0] * n_frames
     bins = max(_CHUNK_BYTES // bin_bytes, -(-_CHUNK_UNITS // n_frames))
     bins = max(1, min(bins, -(-n_bins // workers)))
     return [slice(lo, min(n_bins, lo + bins)) for lo in range(0, n_bins, bins)]
@@ -152,18 +151,19 @@ def _chunk_stack(
 
 
 @functools.cache
-def _layout(taps: int) -> tuple[list[int], np.ndarray, np.ndarray, list[np.ndarray]]:
+def _layout(taps: int) -> tuple[int, list[int], np.ndarray, np.ndarray, list[np.ndarray]]:
     """Index plan of the augmented packed buffer for `taps` taps.
 
-    Row i holds A[i, i:] followed by b[i], taps - i + 1 entries starting at
+    The buffer has `rows` entries; row i holds A[i, i:] then b[i] from
     starts[i]. Also returns the entries of A's diagonal, those of b, and for
     each i the entries A[:i, i], where the factorization leaves R[:i, i].
     """
     starts = [i * (taps + 1) - i * (i - 1) // 2 for i in range(taps)]
+    rows = taps * (taps + 3) // 2
     diag = np.array(starts, dtype=np.intp)
     rhs = np.array([s + taps - i for i, s in enumerate(starts)], dtype=np.intp)
     above = [np.array([starts[k] + i - k for k in range(i)], dtype=np.intp) for i in range(taps)]
-    return starts, diag, rhs, above
+    return rows, starts, diag, rhs, above
 
 
 def _products(xa: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -175,10 +175,10 @@ def _products(xa: np.ndarray, weights: np.ndarray) -> np.ndarray:
     followed by the product w x_i conj(y) of b[i].
     """
     taps = len(xa) - 1
-    starts = _layout(taps)[0]
+    rows, starts = _layout(taps)[:2]
     wx = xa[:taps] * weights
     np.conjugate(xa, out=xa)
-    G = np.empty((taps * (taps + 3) // 2,) + xa.shape[1:], dtype=np.complex128)
+    G = np.empty((rows,) + xa.shape[1:], dtype=np.complex128)
     for i, s in enumerate(starts):
         np.multiply(wx[i], xa[i:], out=G[s : s + taps + 1 - i])
     return G
@@ -195,7 +195,7 @@ def _factor_solve(
     trace or a pivot is not positive, or whose taps are not finite, is
     flagged and gets the zero filter.
     """
-    starts, diag_at, rhs_at, above = _layout(taps)
+    _, starts, diag_at, rhs_at, above = _layout(taps)
     real = G.real
     diag = real[diag_at]
     trace = diag.sum(axis=0)
@@ -275,7 +275,7 @@ def wstws_cancel(
     def solve_chunk(sl: slice) -> None:
         xa, y = _chunk_stack(xt, yt, sl, taps)
         G = _products(xa, wt[sl])
-        G = _windowed_sums(np.cumsum(G, axis=2, out=G), window)
+        G = _windowed_sums(G, window)
         h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
         del G
         residual[:, sl] = _residual(h, xa[:taps], y).T

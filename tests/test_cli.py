@@ -1,11 +1,14 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import speech_like
 
+from refaec import TimeSignal
 from refaec.cli import main
+from refaec.pipeline import eval_dataset
 from refaec.wavio import read_wav, write_wav
 
 
@@ -150,6 +153,23 @@ def test_synth_run_eval_workflow(corpora, tmp_path, capsys):
     rows = [json.loads(line) for line in report.read_text().strip().split("\n")]
     assert len(rows) == 1 and rows[0]["scenario"] == "DT"
     capsys.readouterr()
+
+
+def test_eval_rejects_estimate_at_another_sample_rate(corpora, tmp_path, capsys):
+    data = tmp_path / "data"
+    args = ["--corpus-near", str(corpora / "near"), "--corpus-far", str(corpora / "far")]
+    assert main(["synth", "--count", "1", *args, "--out", str(data), "--seed", "2"]) == 0
+    est = tmp_path / "est" / "scene_000000.wav"
+    y = read_wav(data / "scene_000000" / "y.wav")
+    write_wav(est, TimeSignal(y.samples[::2], 8000))
+    manifest, report = data / "manifest.jsonl", tmp_path / "report.jsonl"
+    message = f"estimate {est} at 8000 Hz, scene at 16000 Hz"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        eval_dataset(manifest, est.parent, report)
+    capsys.readouterr()
+    args = ["--manifest", str(manifest), "--estimates", str(est.parent), "--report", str(report)]
+    assert main(["eval", *args]) == 1
+    assert "8000 Hz" in capsys.readouterr().err
 
 
 def test_run_single_triplet(corpora, tmp_path, capsys):

@@ -108,6 +108,12 @@ def test_inconsistent_spectrogram_shape_raises():
         Spectrogram(np.zeros((10, cfg.n_bins + 1), dtype=complex), cfg)
 
 
+def test_zero_frame_spectrogram_raises():
+    cfg = StftConfig()
+    with pytest.raises(ValueError, match="with frames"):
+        Spectrogram(np.zeros((0, cfg.n_bins), dtype=complex), cfg)
+
+
 def test_linearity(rng):
     cfg = StftConfig()
     x = TimeSignal(rng.standard_normal(8000))

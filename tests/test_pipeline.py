@@ -5,8 +5,8 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import ecf_bytes, random_spectrogram, speech_like
-from scipy.signal import windows
+from helpers import delay_stack, dense_normal_equations, ecf_bytes, random_spectrogram, speech_like
+from scipy.signal import lfilter, windows
 
 import refaec
 from refaec import (
@@ -114,6 +114,46 @@ def test_in_model_masked_reference_matches_far_end_route(rng):
     e_masked = np.sum(np.abs(bundle.resid_ref_masked.data[w:]) ** 2)
     # both routes are in the model class here; allow 1 dB of slack
     assert 10 * np.log10(e_masked / e_far) <= 1.0
+
+
+def test_stage_matches_dense_oracle_on_double_talk(rng):
+    far, near = speech_like(rng, FS).samples, speech_like(rng, FS).samples
+    y = TimeSignal(lfilter([0.6, 0.3, -0.2], [1.0], far) + 0.5 * near)
+    r = TimeSignal(lfilter([0.9, 0.2], [1.0], far) + 0.1 * near)
+    bundle = run_linear_stage(y, TimeSignal(far), r, SMALL)
+    assert all(np.isfinite(spec.data).all() for spec in bundle.signals())
+
+    Y, X, R = bundle.mic, bundle.far, bundle.ref
+    ref_cfg, main_cfg = SMALL.wiener_ref, SMALL.wiener_main
+    n_frames, n_bins = Y.data.shape
+    # half of the units see a window truncated at frame 0
+    frames = np.concatenate(
+        [rng.integers(0, main_cfg.window_frames, 4), rng.integers(0, n_frames, 4)]
+    )
+    units = list(zip(frames, rng.integers(0, n_bins, 8)))
+
+    # the masked reference of each sampled bin from one-tap dense solves
+    masked = np.zeros_like(R.data)
+    for f in {f for _, f in units}:
+        for t in range(n_frames):
+            far_part = np.conj(dense_normal_equations(R, X, t, f, ref_cfg)[0]) * X.data[t, f]
+            far_mag, near_mag = abs(far_part), abs(R.data[t, f] - far_part)
+            gain = far_mag / (far_mag + near_mag) if far_mag + near_mag > 0 else 0.0
+            masked[t, f] = gain**SMALL.mask.compression * R.data[t, f]
+    R_m = R.like(masked)
+
+    # the bench's rule: deviation relative to the unit's magnitude scale
+    worst = 0.0
+    routes = ((bundle.resid_far, X), (bundle.resid_ref, R), (bundle.resid_ref_masked, R_m))
+    for t, f in units:
+        ours = bundle.ref_masked.data[t, f]
+        worst = max(worst, abs(ours - masked[t, f]) / abs(R.data[t, f]))
+        for resid, ref in routes:
+            h = dense_normal_equations(Y, ref, t, f, main_cfg)
+            pred = np.vdot(h, delay_stack(ref, t, f, main_cfg.taps))
+            ours = Y.data[t, f] - resid.data[t, f]
+            worst = max(worst, abs(ours - pred) / (abs(Y.data[t, f]) + abs(pred)))
+    assert worst <= 1e-6
 
 
 def test_export_header_and_size_roundtrip(rng, tmp_path):

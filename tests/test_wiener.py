@@ -190,9 +190,9 @@ def _split_work(monkeypatch, chunk_bytes, workers):
     real = wiener._windowed_sums
     threads = []
 
-    def recorded(cum, window_frames):
+    def recorded(G, window_frames):
         threads.append(threading.get_ident())
-        return real(cum, window_frames)
+        return real(G, window_frames)
 
     monkeypatch.setattr(wiener, "_windowed_sums", recorded)
     return threads
@@ -244,6 +244,29 @@ def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
     if cfg.diag_load == 0.0:
         assert bank_b.degenerate[:, 40:60].all()
         assert bank_b.degenerate[:, :40].any() and not bank_b.degenerate[:, :40].all()
+
+
+def test_zero_frames_stop_before_the_solver(rng):
+    Y = random_spectrogram(rng, 3)
+    with pytest.raises(ValueError, match="with frames"):
+        wstws_cancel(Y.like(Y.data[:0]), Y.like(Y.data[:0]), WienerConfig())
+
+
+# the window reaches past the stream, a one-frame window, lengths that are
+# and are not whole numbers of window_frames + 1
+@pytest.mark.parametrize("n_frames, window", [(10, 12), (10, 9), (17, 1), (23, 4), (30, 5)])
+def test_windowed_sums_are_sliding_window_sums(rng, n_frames, window):
+    shape = (3, 5, n_frames)
+    G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    buf = G.copy()
+    out = wiener._windowed_sums(buf, window)
+    assert out is buf
+    direct = np.stack(
+        [G[..., max(0, t - window) : t + 1].sum(axis=-1) for t in range(n_frames)], axis=-1
+    )
+    assert np.allclose(out, direct, rtol=0, atol=1e-12)
+    # frames t <= window see the whole stream so far: the running sums, bit for bit
+    assert np.array_equal(out[..., : window + 1], np.cumsum(G, axis=-1)[..., : window + 1])
 
 
 # bins per chunk on 161 bins and 2 CPUs

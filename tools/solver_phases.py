@@ -1,28 +1,27 @@
-"""Print the median time of each phase of the Wiener solver.
+"""Print the median time of each phase of one wstws_cancel call.
 
 Usage: python3 tools/solver_phases.py
 
 The library is imported from the src/ directory of the checkout that holds
-this script. At three operating points (taps / window frames / frames: the
-default 20 / 200 / 599, the echo study's 8 / 80 / 249 and the desk's
-6 / 60 / 599), on random 161-bin spectrograms, the script runs the phases of
-wstws_cancel over every chunk of its chunk plan (_chunk_slices), first on one
-thread and then on a pool with one thread per CPU this process may run on, as
-wstws_cancel runs them: each thread takes a chunk through all five phases.
-Each line gives the median over the rounds, in ms, of the time each phase
-took, summed over all chunks (on the pool, over all threads), and of the
-round's wall time:
+this script. wiener.wstws_cancel runs on random 161-bin spectrograms at three
+operating points (taps / window frames / frames: the default 20 / 200 / 599,
+the echo study's 8 / 80 / 249 and the desk's 6 / 60 / 599) with each function
+in PHASES wrapped in a timer, first on one thread (wiener._n_workers set to
+return 1), then on its own pool of one thread per CPU. Each line gives the
+call's chunk count and the median over ROUNDS calls, in ms, of each phase's
+time summed over its calls and threads, and of the wall time:
 
-- stack: the chunk's delay stack and y (_chunk_stack);
+- weights: the lambda weights, once per call (lambda_weights);
+- stack: each chunk's delay stack and y (_chunk_stack);
 - build: the per-frame products of the augmented buffer (_products);
-- window sums: the cumulative sum along frames and _windowed_sums;
+- window sums: the cumulative and sliding sums along frames (_windowed_sums);
 - factor+solve: load, Cholesky and substitutions (_factor_solve);
 - predict: the prediction and the residual (_residual).
 
-The per-call work outside the chunks (the lambda weights, the transposes of
-X, Y and the weights, and the copies out of the chunk buffers) is not timed.
-On the pool, a phase's summed time above its one-thread figure is time its
-threads lost to each other.
+On one thread, the wall time minus the phases is the call's other work: the
+transposes of X, Y and the weights and the copies of each chunk's outputs. On
+the pool, a phase's time above its one-thread figure is time its threads lost
+to each other.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,65 +36,64 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from refaec import StftConfig, WienerConfig, wiener  # noqa: E402
+from refaec import Spectrogram, StftConfig, WienerConfig, wiener  # noqa: E402
 
 OPERATING_POINTS = ((20, 200, 599), (8, 80, 249), (6, 60, 599))
 ROUNDS = 7
-PHASES = ("stack", "build", "window sums", "factor+solve", "predict", "wall")
+# read at import, so renaming a phase function breaks the import
+PHASES = {
+    "weights": wiener.lambda_weights,
+    "stack": wiener._chunk_stack,
+    "build": wiener._products,
+    "window sums": wiener._windowed_sums,
+    "factor+solve": wiener._factor_solve,
+    "predict": wiener._residual,
+}
 
 
-def _round(xt, yt, wt, slices, cfg: WienerConfig, run) -> list[float]:
-    """Seconds of each phase summed over all chunks, then the wall time of
-    the round; run(fn, items) maps fn over the chunk slices."""
-    taps = cfg.taps
-
-    def solve(sl: slice) -> list[float]:
+def _timed(fn, spent: list[float]):
+    def timed(*args):
         t0 = time.perf_counter()
-        xa, y = wiener._chunk_stack(xt, yt, sl, taps)
-        t1 = time.perf_counter()
-        G = wiener._products(xa, wt[sl])
-        t2 = time.perf_counter()
-        G = wiener._windowed_sums(np.cumsum(G, axis=2, out=G), cfg.window_frames)
-        t3 = time.perf_counter()
-        h = wiener._factor_solve(G, taps, cfg.diag_load)[0]
-        del G
-        t4 = time.perf_counter()
-        wiener._residual(h, xa[:taps], y)
-        t5 = time.perf_counter()
-        return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4]
+        out = fn(*args)
+        spent.append(time.perf_counter() - t0)  # list.append is thread-safe
+        return out
 
+    return timed
+
+
+def _call(Y: Spectrogram, X: Spectrogram, cfg: WienerConfig, spent) -> list[float]:
+    """The chunk count, each phase's seconds summed over its calls, and the
+    wall time of one wstws_cancel call; spent collects the phase timers."""
+    for times in spent.values():
+        times.clear()
     t0 = time.perf_counter()
-    per_chunk = run(solve, slices)
+    wiener.wstws_cancel(Y, X, cfg)
     wall = time.perf_counter() - t0
-    return [sum(col) for col in zip(*per_chunk)] + [wall]
+    return [len(spent["stack"])] + [sum(spent[name]) for name in PHASES] + [wall]
 
 
 def main() -> None:
+    spent = {name: [] for name in PHASES}
+    for name, fn in PHASES.items():
+        setattr(wiener, fn.__name__, _timed(fn, spent[name]))
     workers = wiener._n_workers()
-    n_bins = StftConfig().n_bins
-    print(f"median ms of {ROUNDS} rounds over {n_bins} bins; pool of {workers} thread(s)")
-    print(f"{'taps/window/frames':>18}  {'chunk':>5}  {'threads':>7}  "
-          + "  ".join(f"{p:>12}" for p in PHASES))
+    modes = [(1, lambda: 1)] + ([(workers, wiener._n_workers)] if workers > 1 else [])
+    stft = StftConfig()
+    print(f"median ms of {ROUNDS} calls over {stft.n_bins} bins; pool of {workers} thread(s)")
+    print(f"{'taps/window/frames':>18}  {'threads':>7}  {'chunks':>6}  "
+          + "  ".join(f"{c:>12}" for c in [*PHASES, "wall"]))
     rng = np.random.default_rng(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        modes = [(1, lambda fn, items: [fn(s) for s in items])]
-        if workers > 1:
-            modes.append((workers, lambda fn, items: list(pool.map(fn, items))))
-        for taps, window, n_frames in OPERATING_POINTS:
-            cfg = WienerConfig(taps=taps, window_frames=window)
-            # X, Y and the weights, transposed to [bin, frame]
-            shape = (n_bins, n_frames)
-            xt = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            yt = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            wt = 1.0 / (1.0 + np.abs(yt) ** 2)
-            slices = wiener._chunk_slices(taps, n_frames, n_bins, workers)
-            chunk = slices[0].stop
-            for threads, run in modes:
-                _round(xt, yt, wt, slices, cfg, run)  # warm-up
-                rounds = [_round(xt, yt, wt, slices, cfg, run) for _ in range(ROUNDS)]
-                ms = [1e3 * statistics.median(col) for col in zip(*rounds)]
-                print(f"{f'{taps}/{window}/{n_frames}':>18}  {chunk:>5}  {threads:>7}  "
-                      + "  ".join(f"{m:>12.1f}" for m in ms))
+    for taps, window, n_frames in OPERATING_POINTS:
+        cfg = WienerConfig(taps=taps, window_frames=window)
+        Y, X = (Spectrogram(rng.standard_normal((n_frames, 2 * stft.n_bins)).view(complex), stft)
+                for _ in range(2))
+        for threads, n_workers in modes:
+            wiener._n_workers = n_workers
+            _call(Y, X, cfg, spent)  # warm-up
+            calls = [_call(Y, X, cfg, spent) for _ in range(ROUNDS)]
+            chunks, *ms = [statistics.median(col) for col in zip(*calls)]
+            print(f"{f'{taps}/{window}/{n_frames}':>18}  {threads:>7}  {chunks:>6}  "
+                  + "  ".join(f"{1e3 * m:>12.1f}" for m in ms))
 
 
 if __name__ == "__main__":
