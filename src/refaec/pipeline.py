@@ -122,7 +122,6 @@ def run_linear_stage(
     mask = compute_mask(R, X, cfg.mask, cfg.wiener_ref)
     R_m = apply_mask(R, mask, cfg.mask.compression)
 
-    # [0] drops each filter bank before the next canceller runs
     resid_far = wstws_cancel(Y, X, cfg.wiener_main)[0]
     resid_ref = wstws_cancel(Y, R, cfg.wiener_main)[0]
     resid_ref_masked = wstws_cancel(Y, R_m, cfg.wiener_main)[0]

@@ -14,8 +14,10 @@ _products builds the per-frame terms, _windowed_sums sums them over each
 sliding window, _factor_solve loads A and solves by a Cholesky factorisation
 A = R^H R written as elementwise passes over all units, and _residual applies
 the taps. A unit whose loaded A is not numerically positive definite gets the
-zero filter. The per-unit oracles that the tests check it against live in
-tests/helpers.py.
+zero filter. The call keeps only each chunk's residual and degenerate flags;
+the [frame, bin, tap] tensor of FilterBank.taps is built when first read, by
+the same chunk loop run again on the call's inputs and chunk plan. The
+per-unit oracles that the tests check it against live in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import functools
 import math
 import multiprocessing
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -83,16 +86,24 @@ class WienerConfig:
 
 @dataclass(eq=False)
 class FilterBank:
-    """Per-unit tap estimates, shape [n_frames, n_bins, taps].
+    """Per-unit tap estimates of one wstws_cancel call.
 
-    taps[t] is the filter estimated at frame t and depends only on frames <= t.
-    degenerate marks units whose loaded normal equations were not numerically
-    positive definite (or gave non-finite taps); those units carry a zero
-    filter instead of aborting the run.
+    taps, shape [n_frames, n_bins, taps]: taps[t] is the filter estimated at
+    frame t and depends only on frames <= t. It is solved when first read,
+    bit for bit as the call solved it, from the call's own copies of its
+    inputs and its chunk plan, and then kept; a caller that only wants the
+    residual never pays for the tensor. degenerate, shape [n_frames, n_bins],
+    marks units whose loaded normal equations were not numerically positive
+    definite (or gave non-finite taps); those units carry a zero filter
+    instead of aborting the run.
     """
 
-    taps: np.ndarray
     degenerate: np.ndarray
+    _loop: _ChunkLoop = field(repr=False)
+
+    @functools.cached_property
+    def taps(self) -> np.ndarray:
+        return self._loop.taps()
 
 
 def lambda_weights(Y: Spectrogram, window_frames: int, floor: float) -> np.ndarray:
@@ -244,6 +255,51 @@ def _residual(h: np.ndarray, xc: np.ndarray, y: np.ndarray) -> np.ndarray:
     return res
 
 
+@dataclass(frozen=True)
+class _ChunkLoop:
+    """One call's chunk loop: X, Y and the weights transposed to [bin, frame],
+    the solver config, and the chunk plan and worker count fixed at call time."""
+
+    xt: np.ndarray
+    yt: np.ndarray
+    wt: np.ndarray
+    cfg: WienerConfig
+    slices: list[slice]
+    workers: int
+
+    def run(self, finish: Callable[..., None]) -> None:
+        """Solve every chunk; finish(sl, h, bad, xa, y) takes each chunk's
+        taps [taps, bin, frame], degenerate mask, augmented stack and y."""
+        taps = self.cfg.taps
+
+        def solve_chunk(sl: slice) -> None:
+            xa, y = _chunk_stack(self.xt, self.yt, sl, taps)
+            G = _products(xa, self.wt[sl])
+            G = _windowed_sums(G, self.cfg.window_frames)
+            h, bad, _ = _factor_solve(G, taps, self.cfg.diag_load)
+            del G
+            finish(sl, h, bad, xa, y)
+
+        if len(self.slices) == 1 or self.workers == 1:
+            for sl in self.slices:
+                solve_chunk(sl)
+        else:
+            # numpy's kernels release the GIL; each chunk writes only its own bins
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                list(pool.map(solve_chunk, self.slices))
+
+    def taps(self) -> np.ndarray:
+        """The taps of every unit, [frame, bin, tap], solved again."""
+        n_bins, n_frames = self.xt.shape
+        h_all = np.empty((n_frames, n_bins, self.cfg.taps), dtype=np.complex128)
+
+        def finish(sl, h, bad, xa, y) -> None:
+            h_all[:, sl, :] = h.transpose(2, 1, 0)
+
+        self.run(finish)
+        return h_all
+
+
 def wstws_cancel(
     Y: Spectrogram, X: Spectrogram, cfg: WienerConfig
 ) -> tuple[Spectrogram, FilterBank]:
@@ -257,44 +313,36 @@ def wstws_cancel(
     """
     if Y.data.shape != X.data.shape:
         raise ValueError(f"spectrogram shapes differ: {Y.data.shape} vs {X.data.shape}")
+    if Y.config != X.config or Y.sample_rate != X.sample_rate:
+        raise ValueError(
+            f"spectrogram grids differ: {Y.config} at {Y.sample_rate} Hz"
+            f" vs {X.config} at {X.sample_rate} Hz"
+        )
     n_frames, n_bins = Y.data.shape
     taps, window = cfg.taps, cfg.window_frames
 
-    # frames innermost: [bin, frame]
+    # frames innermost: [bin, frame]; copies, so that the filter bank's later
+    # solve does not see the caller change X or Y
     if cfg.weighted:
         wt = np.ascontiguousarray((1.0 / lambda_weights(Y, window, cfg.floor)).T)
     else:
         wt = np.ones((n_bins, n_frames))
-    xt = np.ascontiguousarray(X.data.T)
-    yt = np.ascontiguousarray(Y.data.T)
+    xt = np.array(X.data.T, order="C")
+    yt = np.array(Y.data.T, order="C")
 
-    h_all = np.empty((n_frames, n_bins, taps), dtype=np.complex128)
     degenerate = np.empty((n_frames, n_bins), dtype=bool)
     residual = np.empty_like(Y.data)
 
-    def solve_chunk(sl: slice) -> None:
-        xa, y = _chunk_stack(xt, yt, sl, taps)
-        G = _products(xa, wt[sl])
-        G = _windowed_sums(G, window)
-        h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
-        del G
+    def finish(sl, h, bad, xa, y) -> None:
         residual[:, sl] = _residual(h, xa[:taps], y).T
-        h_all[:, sl, :] = h.transpose(2, 1, 0)
         degenerate[:, sl] = bad.T
 
     # a child process, such as a scene worker, solves on one thread: the
     # scene pool already runs one worker per CPU
     workers = 1 if multiprocessing.parent_process() else _n_workers()
-    slices = _chunk_slices(taps, n_frames, n_bins, workers)
-    if len(slices) == 1 or workers == 1:
-        for sl in slices:
-            solve_chunk(sl)
-    else:
-        # numpy's kernels release the GIL; each chunk writes only its own bins
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve_chunk, slices))
-
-    return Y.like(residual), FilterBank(h_all, degenerate)
+    loop = _ChunkLoop(xt, yt, wt, cfg, _chunk_slices(taps, n_frames, n_bins, workers), workers)
+    loop.run(finish)
+    return Y.like(residual), FilterBank(degenerate, loop)
 
 
 def stws_config(cfg: WienerConfig) -> WienerConfig:

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -180,13 +181,9 @@ def test_causality_bit_identical_prefix(rng):
     assert np.array_equal(bank_a.taps[:t_perturb], bank_b.taps[:t_perturb])
 
 
-def _split_work(monkeypatch, chunk_bytes, workers):
-    """Set the chunk budget (with a floor of one frame-bin) and the worker
-    count; returns the ids of the threads that build window sums (one call per
+def _record_windowed_sums(monkeypatch):
+    """Returns the ids of the threads that build window sums (one call per
     chunk)."""
-    monkeypatch.setattr(wiener, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(wiener, "_CHUNK_UNITS", 1)
-    monkeypatch.setattr(wiener, "_n_workers", lambda: workers)
     real = wiener._windowed_sums
     threads = []
 
@@ -196,6 +193,15 @@ def _split_work(monkeypatch, chunk_bytes, workers):
 
     monkeypatch.setattr(wiener, "_windowed_sums", recorded)
     return threads
+
+
+def _split_work(monkeypatch, chunk_bytes, workers):
+    """Set the chunk budget (with a floor of one frame-bin) and the worker
+    count; returns the ids of the threads that build window sums."""
+    monkeypatch.setattr(wiener, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(wiener, "_CHUNK_UNITS", 1)
+    monkeypatch.setattr(wiener, "_n_workers", lambda: workers)
+    return _record_windowed_sums(monkeypatch)
 
 
 def _zero_band_no_load(Y, X, cfg):
@@ -237,6 +243,13 @@ def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
         assert len(threads) == 17
         assert len(set(threads)) > 1
 
+    # the taps are solved on first read, on the plan of the call that made the bank
+    with monkeypatch.context() as m:
+        threads = _record_windowed_sums(m)
+        taps_b = bank_b.taps
+        assert len(threads) == Y.n_bins
+        assert len(set(threads)) > 1
+    assert taps_b.shape == (Y.n_frames, Y.n_bins, cfg.taps)
     for res, bank in ((res_b, bank_b), (res_c, bank_c)):
         assert np.array_equal(res_a.data, res.data)
         assert np.array_equal(bank_a.taps, bank.taps)
@@ -321,7 +334,49 @@ def test_chunk_stack_matches_delay_stack(rng):
 def test_causality_prefix_with_split_chunks(rng, monkeypatch):
     threads = _split_work(monkeypatch, 1, 3)
     test_causality_bit_identical_prefix(rng)
-    assert len(threads) == 2 * StftConfig().n_bins
+    # two calls, and a second solve for each bank's taps
+    assert len(threads) == 4 * StftConfig().n_bins
+    assert len(set(threads)) > 1
+
+
+# one frame: X.data.T is already contiguous, so the call must copy it
+@pytest.mark.parametrize("n_frames", [1, 30])
+def test_taps_read_after_the_inputs_change_are_those_of_the_call(rng, n_frames):
+    Y = random_spectrogram(rng, n_frames)
+    X = random_spectrogram(rng, n_frames)
+    cfg = WienerConfig(taps=3, window_frames=8)
+    _, fresh = wstws_cancel(Y.like(Y.data.copy()), X.like(X.data.copy()), cfg)
+    _, bank = wstws_cancel(Y, X, cfg)
+    Y.data[:] = 1.0 - 2.0j
+    X.data[:] = 0.0
+    assert np.array_equal(bank.taps, fresh.taps)
+
+
+def test_taps_are_solved_once(rng, monkeypatch):
+    Y = random_spectrogram(rng, 20)
+    X = random_spectrogram(rng, 20)
+    _, bank = wstws_cancel(Y, X, WienerConfig(taps=2, window_frames=4))
+    threads = _record_windowed_sums(monkeypatch)
+    first = bank.taps
+    calls = len(threads)
+    assert calls > 0
+    assert bank.taps is first
+    assert len(threads) == calls
+
+
+def test_call_builds_no_tap_tensor(rng, monkeypatch):
+    # the [599, 161, 20] complex tap tensor alone is 30.9 MB
+    monkeypatch.setattr(wiener, "_n_workers", lambda: 1)
+    Y = random_spectrogram(rng, 599)
+    X = random_spectrogram(rng, 599)
+    tracemalloc.start()
+    try:
+        _, bank = wstws_cancel(Y, X, WienerConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+    assert bank.taps.shape == (599, Y.n_bins, 20)
 
 
 @pytest.mark.xfail(
@@ -406,5 +461,11 @@ def test_config_rejects_non_finite_settings(field, value):
 def test_shape_mismatch_raises(rng):
     Y = random_spectrogram(rng, 10)
     X = random_spectrogram(rng, 12)
-    with pytest.raises(ValueError):
-        wstws_cancel(Y, X, WienerConfig(taps=1, window_frames=4))
+    cfg = WienerConfig(taps=1, window_frames=4)
+    with pytest.raises(ValueError, match="shapes differ"):
+        wstws_cancel(Y, X, cfg)
+    # the same shape on another grid: half the hop, or another sample rate
+    X = random_spectrogram(rng, 10)
+    for other in (Spectrogram(X.data, StftConfig(hop=80)), Spectrogram(X.data, X.config, 8000)):
+        with pytest.raises(ValueError, match="^spectrogram grids differ: .* vs .*$"):
+            wstws_cancel(Y, other, cfg)

@@ -9,6 +9,8 @@ output bit in that group. The groups are:
 
 - the seven run_linear_stage spectrograms of a 6 s double-talk scene at the
   default configuration;
+- the taps and degenerate flags of that scene's far-end canceller,
+  wstws_cancel(Y, X, RunConfig().wiener_main);
 - every signal, impulse response and echo gain of 4 far-end single-talk and
   of 4 double-talk scenes;
 - the synth / run --export-features / eval file tree of acceptance
@@ -86,10 +88,14 @@ def _scene_arrays(scene) -> list[np.ndarray]:
     return arrays
 
 
-def stage_hash() -> str:
+def stage_hashes() -> tuple[str, str]:
+    """The hashes of the stage's spectrograms and of its far-end filter bank."""
     scene = _scene(0, 6.0, NonlinearityKind("hard_clip_sigmoid"), 0.0)
     bundle = refaec.run_linear_stage(scene.y, scene.x, scene.r)
-    return _digest(spec.data for spec in bundle.signals())
+    cfg = refaec.RunConfig()
+    Y, X = (refaec.stft_forward(signal, cfg.stft) for signal in (scene.y, scene.x))
+    bank = refaec.wstws_cancel(Y, X, cfg.wiener_main)[1]
+    return _digest(spec.data for spec in bundle.signals()), _digest([bank.taps, bank.degenerate])
 
 
 def scenes_hash(kinds, sers, first_seed: int) -> str:
@@ -142,7 +148,9 @@ def tree_hashes(workdir: Path, workers: int) -> tuple[str, str]:
 
 
 def main() -> None:
-    print(f"{stage_hash()}  run_linear_stage arrays, 6 s default scene")
+    stage, bank = stage_hashes()
+    print(f"{stage}  run_linear_stage arrays, 6 s default scene")
+    print(f"{bank}  far-end taps and degenerate flags, 6 s default scene")
     print(f"{scenes_hash(FAR_END_KINDS, [None] * 4, 100)}  4 far-end scenes")
     print(f"{scenes_hash(DOUBLE_TALK_KINDS, DOUBLE_TALK_SER_DB, 200)}  4 double-talk scenes")
     with tempfile.TemporaryDirectory() as tmp:

@@ -19,7 +19,8 @@ time summed over its calls and threads, and of the wall time:
 - predict: the prediction and the residual (_residual).
 
 On one thread, the wall time minus the phases is the call's other work: the
-transposes of X, Y and the weights and the copies of each chunk's outputs. On
+transposes of X, Y and the weights and the copies of each chunk's residual and
+degenerate flags (the call builds no taps, and the tool does not read them). On
 the pool, a phase's time above its one-thread figure is time its threads lost
 to each other.
 """
