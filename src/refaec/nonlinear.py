@@ -17,7 +17,6 @@ MATCHED_FAMILIES = ("saturating", "exponential", "polynomial")
 MISMATCHED_FAMILIES = ("hard_clip_sigmoid", "soft_clip_sigmoid")
 
 CLIP_THRESHOLD = 0.7
-SOFT_CLIP_SHAPE = 2.0
 SIGMOID_GAIN = 2.0
 
 _B_RANGE = (2.0, 5.0)
@@ -42,11 +41,15 @@ class NonlinearityKind:
             raise ValueError(f"b={self.b} outside [{_B_RANGE[0]}, {_B_RANGE[1]}]")
 
 
-def saturating(x, b: float):
-    """Smooth amplitude limiter a*x/sqrt(a^2 + x^2) with a = 5/b; odd, |out| < a."""
-    a = 5.0 / b
+def _limiter(x, a: float):
+    """Smooth amplitude limiter a*x/sqrt(a^2 + x^2); odd, |out| < a."""
     x = np.asarray(x, dtype=np.float64)
     return a * x / np.sqrt(a * a + x * x)
+
+
+def saturating(x, b: float):
+    """Smooth amplitude limiter with a = 5/b (see _limiter); odd, |out| < a."""
+    return _limiter(x, 5.0 / b)
 
 
 def exponential(x, b: float):
@@ -72,16 +75,8 @@ def hard_clip(x):
 
 
 def soft_clip(x):
-    """Gradual limiter x*c/sqrt(c^rho + |x|^rho) with c = CLIP_THRESHOLD and
-    rho = SOFT_CLIP_SHAPE; odd, |out| < c.
-
-    The denominator takes the square root of the rho-power sum, so rho = 2
-    gives the familiar c/sqrt(c^2 + x^2) roll-off.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return x * CLIP_THRESHOLD / np.sqrt(
-        CLIP_THRESHOLD**SOFT_CLIP_SHAPE + np.abs(x) ** SOFT_CLIP_SHAPE
-    )
+    """Gradual limiter x*c/sqrt(c^2 + x^2) with c = CLIP_THRESHOLD; odd, |out| < c."""
+    return _limiter(x, CLIP_THRESHOLD)
 
 
 def sigmoid_stage(x):

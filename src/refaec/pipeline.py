@@ -175,6 +175,14 @@ def read_features(path) -> tuple[dict, list[np.ndarray]]:
         raise FeatureFormatError(f"bad magic {magic!r}")
     if version != FEATURE_VERSION:
         raise FeatureFormatError(f"unsupported version {version}")
+    if n_signals != N_BUNDLE_SIGNALS:
+        raise FeatureFormatError(f"n_signals is {n_signals}, expected {N_BUNDLE_SIGNALS}")
+    if n_bins != window_len // 2 + 1:
+        raise FeatureFormatError(
+            f"n_bins is {n_bins}, expected {window_len // 2 + 1} for window_len {window_len}"
+        )
+    if n_frames == 0:
+        raise FeatureFormatError("file has no frames")
     expected = _HEADER.size + n_signals * n_frames * n_bins * 8
     if len(raw) != expected:
         raise FeatureFormatError(f"file is {len(raw)} bytes, expected {expected}")

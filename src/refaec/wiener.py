@@ -6,18 +6,18 @@ divides each frame's squared error by an energy-tracking weight so that
 low-energy units do not dominate the fit.
 
 wstws_cancel solves every unit's normal equations A h = b at once, a chunk of
-bins at a time. _chunk_slices plans the chunks and _chunk_stack lays out each
-chunk's delay stack and y, frames innermost. Four phases follow over an
-[entry, bin, frame] buffer that holds the Hermitian A as its packed upper
-triangle with b[i] at the end of row i:
+bins at a time, in _solve. _chunk_slices plans the chunks and _chunk_stack
+lays out each chunk's delay stack and y, frames innermost. Four phases follow
+over an [entry, bin, frame] buffer that holds the Hermitian A as its packed
+upper triangle with b[i] at the end of row i:
 _products builds the per-frame terms, _windowed_sums sums them over each
 sliding window, _factor_solve loads A and solves by a Cholesky factorisation
 A = R^H R written as elementwise passes over all units, and _residual applies
 the taps. A unit whose loaded A is not numerically positive definite gets the
 zero filter. The call keeps only each chunk's residual and degenerate flags;
 the [frame, bin, tap] tensor of FilterBank.taps is built when first read, by
-the same chunk loop run again on the call's inputs and chunk plan. The
-per-unit oracles that the tests check it against live in tests/helpers.py.
+_solve run again on the call's inputs. The per-unit oracles that the tests
+check it against live in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ class FilterBank:
 
     taps, shape [n_frames, n_bins, taps]: taps[t] is the filter estimated at
     frame t and depends only on frames <= t. It is solved when first read,
-    bit for bit as the call solved it, from the call's own copies of its
-    inputs and its chunk plan, and then kept; a caller that only wants the
+    bit for bit as the call solved it (outputs do not depend on the chunk
+    plan), from the call's own copies of X, Y and the weights transposed to
+    [bin, frame] and its config, and then kept; a caller that only wants the
     residual never pays for the tensor. degenerate, shape [n_frames, n_bins],
     marks units whose loaded normal equations were not numerically positive
     definite (or gave non-finite taps); those units carry a zero filter
@@ -99,11 +100,19 @@ class FilterBank:
     """
 
     degenerate: np.ndarray
-    _loop: _ChunkLoop = field(repr=False)
+    _inputs: tuple = field(repr=False)
 
     @functools.cached_property
     def taps(self) -> np.ndarray:
-        return self._loop.taps()
+        xt, yt, wt, cfg = self._inputs
+        n_bins, n_frames = xt.shape
+        h_all = np.empty((n_frames, n_bins, cfg.taps), dtype=np.complex128)
+
+        def keep(sl, h, bad, xc, y) -> None:
+            h_all[:, sl, :] = h.transpose(2, 1, 0)
+
+        _solve(xt, yt, wt, cfg, keep)
+        return h_all
 
 
 def lambda_weights(Y: Spectrogram, window_frames: int, floor: float) -> np.ndarray:
@@ -255,49 +264,33 @@ def _residual(h: np.ndarray, xc: np.ndarray, y: np.ndarray) -> np.ndarray:
     return res
 
 
-@dataclass(frozen=True)
-class _ChunkLoop:
-    """One call's chunk loop: X, Y and the weights transposed to [bin, frame],
-    the solver config, and the chunk plan and worker count fixed at call time."""
+def _solve(
+    xt: np.ndarray, yt: np.ndarray, wt: np.ndarray, cfg: WienerConfig, keep: Callable[..., None]
+) -> None:
+    """Solve every unit of X, Y and the weights transposed to [bin, frame], a
+    chunk of bins at a time; keep(sl, h, bad, xc, y) takes each chunk's taps
+    [taps, bin, frame], degenerate mask, conjugated delay stack and y."""
+    taps = cfg.taps
+    # a child process, such as a scene worker, solves on one thread: the
+    # scene pool already runs one worker per CPU
+    workers = 1 if multiprocessing.parent_process() else _n_workers()
+    n_bins, n_frames = xt.shape
+    slices = _chunk_slices(taps, n_frames, n_bins, workers)
 
-    xt: np.ndarray
-    yt: np.ndarray
-    wt: np.ndarray
-    cfg: WienerConfig
-    slices: list[slice]
-    workers: int
+    def solve_chunk(sl: slice) -> None:
+        xa, y = _chunk_stack(xt, yt, sl, taps)
+        G = _windowed_sums(_products(xa, wt[sl]), cfg.window_frames)
+        h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
+        del G
+        keep(sl, h, bad, xa[:taps], y)
 
-    def run(self, finish: Callable[..., None]) -> None:
-        """Solve every chunk; finish(sl, h, bad, xa, y) takes each chunk's
-        taps [taps, bin, frame], degenerate mask, augmented stack and y."""
-        taps = self.cfg.taps
-
-        def solve_chunk(sl: slice) -> None:
-            xa, y = _chunk_stack(self.xt, self.yt, sl, taps)
-            G = _products(xa, self.wt[sl])
-            G = _windowed_sums(G, self.cfg.window_frames)
-            h, bad, _ = _factor_solve(G, taps, self.cfg.diag_load)
-            del G
-            finish(sl, h, bad, xa, y)
-
-        if len(self.slices) == 1 or self.workers == 1:
-            for sl in self.slices:
-                solve_chunk(sl)
-        else:
-            # numpy's kernels release the GIL; each chunk writes only its own bins
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                list(pool.map(solve_chunk, self.slices))
-
-    def taps(self) -> np.ndarray:
-        """The taps of every unit, [frame, bin, tap], solved again."""
-        n_bins, n_frames = self.xt.shape
-        h_all = np.empty((n_frames, n_bins, self.cfg.taps), dtype=np.complex128)
-
-        def finish(sl, h, bad, xa, y) -> None:
-            h_all[:, sl, :] = h.transpose(2, 1, 0)
-
-        self.run(finish)
-        return h_all
+    if len(slices) == 1 or workers == 1:
+        for sl in slices:
+            solve_chunk(sl)
+    else:
+        # numpy's kernels release the GIL; each chunk writes only its own bins
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(solve_chunk, slices))
 
 
 def wstws_cancel(
@@ -319,30 +312,25 @@ def wstws_cancel(
             f" vs {X.config} at {X.sample_rate} Hz"
         )
     n_frames, n_bins = Y.data.shape
-    taps, window = cfg.taps, cfg.window_frames
 
     # frames innermost: [bin, frame]; copies, so that the filter bank's later
     # solve does not see the caller change X or Y
     if cfg.weighted:
-        wt = np.ascontiguousarray((1.0 / lambda_weights(Y, window, cfg.floor)).T)
+        wt = np.ascontiguousarray((1.0 / lambda_weights(Y, cfg.window_frames, cfg.floor)).T)
     else:
-        wt = np.ones((n_bins, n_frames))
+        wt = np.broadcast_to(1.0, (n_bins, n_frames))
     xt = np.array(X.data.T, order="C")
     yt = np.array(Y.data.T, order="C")
 
     degenerate = np.empty((n_frames, n_bins), dtype=bool)
     residual = np.empty_like(Y.data)
 
-    def finish(sl, h, bad, xa, y) -> None:
-        residual[:, sl] = _residual(h, xa[:taps], y).T
+    def keep(sl, h, bad, xc, y) -> None:
+        residual[:, sl] = _residual(h, xc, y).T
         degenerate[:, sl] = bad.T
 
-    # a child process, such as a scene worker, solves on one thread: the
-    # scene pool already runs one worker per CPU
-    workers = 1 if multiprocessing.parent_process() else _n_workers()
-    loop = _ChunkLoop(xt, yt, wt, cfg, _chunk_slices(taps, n_frames, n_bins, workers), workers)
-    loop.run(finish)
-    return Y.like(residual), FilterBank(degenerate, loop)
+    _solve(xt, yt, wt, cfg, keep)
+    return Y.like(residual), FilterBank(degenerate, (xt, yt, wt, cfg))
 
 
 def stws_config(cfg: WienerConfig) -> WienerConfig:

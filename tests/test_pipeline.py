@@ -1,7 +1,9 @@
 import json
 import os
 import re
+import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,19 +118,37 @@ def test_in_model_masked_reference_matches_far_end_route(rng):
     assert 10 * np.log10(e_masked / e_far) <= 1.0
 
 
-def test_stage_matches_dense_oracle_on_double_talk(rng):
-    far, near = speech_like(rng, FS).samples, speech_like(rng, FS).samples
-    y = TimeSignal(lfilter([0.6, 0.3, -0.2], [1.0], far) + 0.5 * near)
+# ROADMAP item 1's fast input families: n samples, a silent mic prefix of
+# `silent` samples, the far end 80 dB down from sample `drop` on, and the main
+# routes' diag_load; without loading, units before 2 * taps frames are skipped
+@pytest.mark.parametrize(
+    "n, silent, drop, diag_load",
+    [
+        pytest.param(FS, 0, None, 1e-6, id="clean"),
+        pytest.param(FS, FS // 4, None, 1e-6, id="silent_mic_prefix"),
+        pytest.param(FS, 0, FS // 2, 1e-6, id="far_drops_80_db"),
+        pytest.param(FS + 77, 0, None, 1e-6, id="odd_length"),
+        pytest.param(FS, 0, None, 0.0, id="no_diag_load"),
+    ],
+)
+def test_stage_matches_dense_oracle_on_double_talk(rng, n, silent, drop, diag_load):
+    far, near = speech_like(rng, n).samples, speech_like(rng, n).samples
+    if drop is not None:
+        far[drop:] *= 1e-4
+    y = lfilter([0.6, 0.3, -0.2], [1.0], far) + 0.5 * near
+    y[:silent] = 0.0
     r = TimeSignal(lfilter([0.9, 0.2], [1.0], far) + 0.1 * near)
-    bundle = run_linear_stage(y, TimeSignal(far), r, SMALL)
+    cfg = replace(SMALL, wiener_main=replace(SMALL.wiener_main, diag_load=diag_load))
+    bundle = run_linear_stage(TimeSignal(y), TimeSignal(far), r, cfg)
     assert all(np.isfinite(spec.data).all() for spec in bundle.signals())
 
     Y, X, R = bundle.mic, bundle.far, bundle.ref
-    ref_cfg, main_cfg = SMALL.wiener_ref, SMALL.wiener_main
+    ref_cfg, main_cfg = cfg.wiener_ref, cfg.wiener_main
     n_frames, n_bins = Y.data.shape
+    t_min = 0 if diag_load else 2 * main_cfg.taps
     # half of the units see a window truncated at frame 0
     frames = np.concatenate(
-        [rng.integers(0, main_cfg.window_frames, 4), rng.integers(0, n_frames, 4)]
+        [rng.integers(t_min, main_cfg.window_frames, 4), rng.integers(t_min, n_frames, 4)]
     )
     units = list(zip(frames, rng.integers(0, n_bins, 8)))
 
@@ -139,21 +159,23 @@ def test_stage_matches_dense_oracle_on_double_talk(rng):
             far_part = np.conj(dense_normal_equations(R, X, t, f, ref_cfg)[0]) * X.data[t, f]
             far_mag, near_mag = abs(far_part), abs(R.data[t, f] - far_part)
             gain = far_mag / (far_mag + near_mag) if far_mag + near_mag > 0 else 0.0
-            masked[t, f] = gain**SMALL.mask.compression * R.data[t, f]
+            masked[t, f] = gain**cfg.mask.compression * R.data[t, f]
     R_m = R.like(masked)
 
     # the bench's rule: deviation relative to the unit's magnitude scale
-    worst = 0.0
+    deviations = []
     routes = ((bundle.resid_far, X), (bundle.resid_ref, R), (bundle.resid_ref_masked, R_m))
     for t, f in units:
         ours = bundle.ref_masked.data[t, f]
-        worst = max(worst, abs(ours - masked[t, f]) / abs(R.data[t, f]))
+        deviations.append(abs(ours - masked[t, f]) / max(abs(R.data[t, f]), 1e-30))
         for resid, ref in routes:
             h = dense_normal_equations(Y, ref, t, f, main_cfg)
             pred = np.vdot(h, delay_stack(ref, t, f, main_cfg.taps))
             ours = Y.data[t, f] - resid.data[t, f]
-            worst = max(worst, abs(ours - pred) / (abs(Y.data[t, f]) + abs(pred)))
-    assert worst <= 1e-6
+            scale = abs(Y.data[t, f]) + abs(pred)
+            deviations.append(abs(ours - pred) / max(scale, 1e-30))
+    # np.max, not max, so that a NaN deviation fails
+    assert np.max(deviations) <= 1e-6
 
 
 def test_export_header_and_size_roundtrip(rng, tmp_path):
@@ -208,6 +230,28 @@ def test_export_rejects_corrupted_magic(rng, tmp_path):
         read_features(path)
     with pytest.raises(FeatureFormatError):
         read_features(__file__)  # arbitrary non-feature file
+
+
+# size-consistent files whose header disagrees with the format:
+# (n_frames, n_bins, n_signals, window_len)
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ((3, 161, 6, 320), "n_signals is 6, expected 7"),
+        ((3, 7, 7, 320), "n_bins is 7, expected 161 for window_len 320"),
+        ((0, 161, 7, 320), "no frames"),
+    ],
+    ids=["six_signals", "bins_off_the_window", "no_frames"],
+)
+def test_read_rejects_header_that_disagrees_with_format(tmp_path, header, message):
+    n_frames, n_bins, n_signals, window_len = header
+    path = tmp_path / "bad.ecf"
+    path.write_bytes(
+        struct.pack("<4sIIIIII", b"ECF1", 1, n_frames, n_bins, n_signals, window_len, 160)
+        + bytes(n_signals * n_frames * n_bins * 8)
+    )
+    with pytest.raises(FeatureFormatError, match=message):
+        read_features(path)
 
 
 def test_bundle_rederivable_from_exported_inputs(rng, tmp_path):
