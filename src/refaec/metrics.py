@@ -86,8 +86,9 @@ def ri_mag_loss(S: Spectrogram, S_hat: Spectrogram, p: float = 0.5) -> float:
     difference, summed over all T-F units."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    if S.data.shape != S_hat.data.shape:
-        raise ValueError("spectrogram shapes differ")
+    grids = [(spec.data.shape, spec.config, spec.sample_rate) for spec in (S, S_hat)]
+    if grids[0] != grids[1]:
+        raise ValueError(f"spectrograms disagree on shape or grid: {grids}")
     comp = _compress(S.data, p)
     comp_hat = _compress(S_hat.data, p)
     l_ri = float(np.sum(np.abs(comp - comp_hat) ** 2))

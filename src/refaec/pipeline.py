@@ -64,7 +64,9 @@ class RunConfig:
 class FeatureBundle:
     """The seven aligned spectrograms consumed by a downstream model:
     far-end, mic, reference, masked reference, and the three cancellation
-    residuals (mic vs far-end, mic vs reference, mic vs masked reference)."""
+    residuals (mic vs far-end, mic vs reference, mic vs masked reference).
+    All seven share one shape, STFT config and sample rate, and the order of
+    the fields is the order of the signals in an exported file."""
 
     far: Spectrogram
     mic: Spectrogram
@@ -76,20 +78,12 @@ class FeatureBundle:
     scene_id: str | None = None
 
     def signals(self) -> list[Spectrogram]:
-        return [
-            self.far,
-            self.mic,
-            self.ref,
-            self.ref_masked,
-            self.resid_far,
-            self.resid_ref,
-            self.resid_ref_masked,
-        ]
+        return [getattr(self, f.name) for f in dataclasses.fields(self)[:N_BUNDLE_SIGNALS]]
 
     def __post_init__(self):
-        shapes = {s.data.shape for s in self.signals()}
-        if len(shapes) != 1:
-            raise ValueError(f"bundle signals disagree on shape: {shapes}")
+        grids = {(s.data.shape, s.config, s.sample_rate) for s in self.signals()}
+        if len(grids) != 1:
+            raise ValueError(f"bundle signals disagree on shape or grid: {grids}")
 
     @property
     def config(self) -> StftConfig:
@@ -177,9 +171,13 @@ def read_features(path) -> tuple[dict, list[np.ndarray]]:
         raise FeatureFormatError(f"unsupported version {version}")
     if n_signals != N_BUNDLE_SIGNALS:
         raise FeatureFormatError(f"n_signals is {n_signals}, expected {N_BUNDLE_SIGNALS}")
-    if n_bins != window_len // 2 + 1:
+    try:
+        cfg = StftConfig(window_len, hop)
+    except ValueError as err:
+        raise FeatureFormatError(f"window_len {window_len}, hop {hop}: {err}") from None
+    if n_bins != cfg.n_bins:
         raise FeatureFormatError(
-            f"n_bins is {n_bins}, expected {window_len // 2 + 1} for window_len {window_len}"
+            f"n_bins is {n_bins}, expected {cfg.n_bins} for window_len {window_len}"
         )
     if n_frames == 0:
         raise FeatureFormatError("file has no frames")

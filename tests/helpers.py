@@ -5,12 +5,16 @@ from the library (dense loops, lstsq, direct DFTs) so the tests stay
 meaningful.
 """
 
+import contextlib
+import io
 import struct
 
 import numpy as np
 from scipy.signal import lfilter
 
-from refaec import Spectrogram, StftConfig, TimeSignal, WienerConfig
+from refaec import Spectrogram, StftConfig, TimeSignal, WienerConfig, pipeline
+from refaec.cli import main as cli_main
+from refaec.wavio import write_wav
 
 
 def speech_like(rng, n, fs=16000, peak=0.95):
@@ -35,6 +39,40 @@ def random_spectrogram(rng, n_frames, cfg=None, scale=1.0):
     shape = (n_frames, cfg.n_bins)
     data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return Spectrogram(data, cfg)
+
+
+def criterion_10_tree(workdir, root, workers=None):
+    """Acceptance criterion 10's command-line sequence: synth 2 scenes (seed
+    12), run them with feature export at the 6-tap desk config, and eval,
+    all under `root`, on `workers` scene workers if given. The corpus, two
+    2 s clips per side (seed 1010), and the config are written to `workdir`.
+    Returns the path of the report."""
+    rng = np.random.default_rng(1010)
+    for name in ("near", "far"):
+        (workdir / name).mkdir(parents=True, exist_ok=True)
+        for i in range(2):
+            write_wav(workdir / name / f"clip_{i}.wav", speech_like(rng, 2 * 16000))
+    config = workdir / "desk.cfg"
+    config.write_text("wiener_main.taps = 6\nwiener_main.window_frames = 60\n")
+    manifest, est, report = root / "data" / "manifest.jsonl", root / "est", root / "report.jsonl"
+    commands = (
+        ["synth", "--count", "2", "--corpus-near", str(workdir / "near"),
+         "--corpus-far", str(workdir / "far"), "--out", str(manifest.parent), "--seed", "12"],
+        ["run", "--manifest", str(manifest), "--config", str(config), "--export-features",
+         "--out", str(est)],
+        ["eval", "--manifest", str(manifest), "--estimates", str(est), "--report", str(report)],
+    )
+    n_workers = pipeline._n_workers
+    if workers is not None:
+        pipeline._n_workers = lambda: workers
+    try:
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):  # synth prints the manifest path
+                code = cli_main(argv)
+            assert code == 0, f"refaec {argv[0]} exited {code}"
+    finally:
+        pipeline._n_workers = n_workers
+    return report
 
 
 def ecf_bytes(bundle) -> bytes:

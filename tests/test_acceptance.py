@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from helpers import dense_normal_equations, schroeder_t60, speech_like
+from helpers import criterion_10_tree, dense_normal_equations, schroeder_t60, speech_like
 
 from refaec import (
     MaskConfig,
@@ -36,9 +36,7 @@ from refaec import (
     wstws_cancel,
 )
 from refaec import pipeline, roomsim
-from refaec.cli import main as cli_main
 from refaec.nonlinear import exponential, hard_clip, saturating, sigmoid_stage, soft_clip
-from refaec.wavio import write_wav
 from refaec.wiener import stws_config
 
 FS = 16000
@@ -328,53 +326,8 @@ def test_criterion_9_reference_proximity():
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path):
-    rng = np.random.default_rng(1010)
-    for name in ("near", "far"):
-        d = tmp_path / name
-        d.mkdir()
-        for i in range(2):
-            write_wav(d / f"clip_{i}.wav", speech_like(rng, 2 * FS))
-    config = tmp_path / "desk.cfg"
-    config.write_text("wiener_main.taps = 6\nwiener_main.window_frames = 60\n")
-
-    def execute(root):
-        data, est, report = root / "data", root / "est", root / "report.jsonl"
-        assert (
-            cli_main(
-                [
-                    "synth",
-                    "--count", "2",
-                    "--corpus-near", str(tmp_path / "near"),
-                    "--corpus-far", str(tmp_path / "far"),
-                    "--out", str(data),
-                    "--seed", "12",
-                ]
-            )
-            == 0
-        )
-        assert (
-            cli_main(
-                [
-                    "run",
-                    "--manifest", str(data / "manifest.jsonl"),
-                    "--config", str(config),
-                    "--export-features",
-                    "--out", str(est),
-                ]
-            )
-            == 0
-        )
-        assert (
-            cli_main(
-                [
-                    "eval",
-                    "--manifest", str(data / "manifest.jsonl"),
-                    "--estimates", str(est),
-                    "--report", str(report),
-                ]
-            )
-            == 0
-        )
+    def execute(root, workers=None):
+        criterion_10_tree(tmp_path, root, workers)
         return {
             str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*"))
@@ -390,9 +343,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
 
     # the same tree whether the scenes run inline or on two worker processes
     for workers in (1, 2):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "_n_workers", lambda: workers)
-            tree = execute(tmp_path / f"exec_{workers}_workers")
+        tree = execute(tmp_path / f"exec_{workers}_workers", workers)
         assert tree.keys() == tree_a.keys()
         for key in tree_a:
             assert tree[key] == tree_a[key], f"byte mismatch in {key} with {workers} workers"

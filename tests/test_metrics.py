@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,22 @@ def test_ri_mag_loss_symmetry_and_nonnegativity(rng):
         A = random_spectrogram(rng, 3)
         B = random_spectrogram(rng, 3)
         assert ri_mag_loss(A, B) >= 0.0
+
+
+# a loss between spectrograms is defined only on one shared grid
+@pytest.mark.parametrize(
+    "odd",
+    [
+        pytest.param({"config": StftConfig(hop=80)}, id="hop_80"),
+        pytest.param({"sample_rate": 8000}, id="at_8000_hz"),
+        pytest.param({"data": np.zeros((4, 161), dtype=complex)}, id="four_frames"),
+    ],
+)
+def test_ri_mag_loss_rejects_spectrograms_on_different_grids(rng, odd):
+    S = random_spectrogram(rng, 3)
+    with pytest.raises(ValueError, match="disagree on shape or grid") as err:
+        ri_mag_loss(S, replace(S, **odd))
+    assert "\n" not in str(err.value)
 
 
 def _scene(rng, v, x, ser=0.0):

@@ -20,9 +20,7 @@ output bit in that group. The groups are:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import sys
 import tempfile
 from pathlib import Path
@@ -33,10 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import refaec  # noqa: E402
-from helpers import speech_like  # noqa: E402
-from refaec import NonlinearityKind, TimeSignal, pipeline  # noqa: E402
-from refaec.cli import main as cli_main  # noqa: E402
-from refaec.wavio import write_wav  # noqa: E402
+from helpers import criterion_10_tree, speech_like  # noqa: E402
+from refaec import NonlinearityKind, TimeSignal  # noqa: E402
 
 FS = 16000
 SCENE_SIGNALS = (
@@ -114,36 +110,11 @@ def _file_tree(root: Path, skip: str | None = None) -> str:
     return h.hexdigest()
 
 
-def _cli(argv: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):  # synth prints the manifest path
-        code = cli_main(argv)
-    if code != 0:
-        sys.exit(f"error: refaec {argv[0]} exited {code}")
-
-
 def tree_hashes(workdir: Path, workers: int) -> tuple[str, str]:
     """The criterion-10 synth/run/eval sequence with `workers` scene workers;
     returns the hashes of the tree without report.jsonl and of report.jsonl."""
-    rng = np.random.default_rng(1010)
-    for name in ("near", "far"):
-        (workdir / name).mkdir(exist_ok=True)
-        for i in range(2):
-            write_wav(workdir / name / f"clip_{i}.wav", speech_like(rng, 2 * FS))
-    config = workdir / "desk.cfg"
-    config.write_text("wiener_main.taps = 6\nwiener_main.window_frames = 60\n")
     root = workdir / f"exec_{workers}"
-    data, report = root / "data", root / "report.jsonl"
-    n_workers = pipeline._n_workers
-    pipeline._n_workers = lambda: workers
-    try:
-        _cli(["synth", "--count", "2", "--corpus-near", str(workdir / "near"),
-              "--corpus-far", str(workdir / "far"), "--out", str(data), "--seed", "12"])
-        _cli(["run", "--manifest", str(data / "manifest.jsonl"), "--config", str(config),
-              "--export-features", "--out", str(root / "est")])
-        _cli(["eval", "--manifest", str(data / "manifest.jsonl"),
-              "--estimates", str(root / "est"), "--report", str(report)])
-    finally:
-        pipeline._n_workers = n_workers
+    report = criterion_10_tree(workdir, root, workers)
     return _file_tree(root, skip=report.name), hashlib.sha256(report.read_bytes()).hexdigest()
 
 
