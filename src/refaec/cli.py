@@ -114,8 +114,7 @@ def _cmd_run(args) -> int:
     y = read_wav(_require_file(args.y, "mic signal"))
     x = read_wav(_require_file(args.x, "far-end signal"))
     r = read_wav(_require_file(args.r, "reference signal"))
-    bundle = run_linear_stage(y, x, r, cfg, scene_id="single")
-    _write_outputs(bundle, Path(args.out), args.export_features)
+    _write_outputs(run_linear_stage(y, x, r, cfg), Path(args.out), "single", args.export_features)
     return 0
 
 

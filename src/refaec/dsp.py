@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,6 +22,13 @@ def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
     for about 0.1 s after the call returns, taking a core from other work.
     """
     return float(np.sum(a * b))
+
+
+def require_int(name: str, value) -> None:
+    """Raise a one-line ValueError unless value is an integer (numpy integers
+    included, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_mono_float(samples) -> np.ndarray:
@@ -60,6 +68,8 @@ class StftConfig:
     hop: int = 160
 
     def __post_init__(self):
+        require_int("window_len", self.window_len)
+        require_int("hop", self.hop)
         if self.window_len <= 0 or self.window_len % 2 != 0:
             raise ValueError("window_len must be a positive even sample count")
         if not 0 < self.hop <= self.window_len:
@@ -110,6 +120,15 @@ class Spectrogram:
     def like(self, data: np.ndarray) -> "Spectrogram":
         """New spectrogram sharing this one's config and sample rate."""
         return Spectrogram(data, self.config, self.sample_rate)
+
+
+def require_one_grid(*specs: Spectrogram) -> None:
+    """Raise a one-line ValueError naming every grid unless all the
+    spectrograms share one shape, STFT config and sample rate."""
+    grids = [(s.data.shape, s.config, s.sample_rate) for s in specs]
+    if len(set(grids)) > 1:
+        named = " vs ".join(f"{shape} {cfg} at {rate} Hz" for shape, cfg, rate in grids)
+        raise ValueError(f"spectrograms disagree on shape or grid: {named}")
 
 
 def stft_forward(sig: TimeSignal, cfg: StftConfig | None = None) -> Spectrogram:

@@ -13,10 +13,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, StftConfig, TimeSignal, pairwise_dot, stft_forward
+from .dsp import Spectrogram, StftConfig, TimeSignal, pairwise_dot, require_one_grid, stft_forward
 
 ENERGY_FLOOR = 1e-12
 DB_CAP = 100.0
+RI_MAG_POWER = 0.5
 
 SCENARIOS = ("DT", "ST_NE", "ST_FE")
 
@@ -32,9 +33,12 @@ class MetricReport:
     ri_mag_loss: float | None = None
 
 
-def _check_lengths(a: TimeSignal, b: TimeSignal):
-    if len(a) != len(b):
-        raise ValueError(f"signal lengths differ: {len(a)} vs {len(b)}")
+def _check_length_and_rate(a: TimeSignal, b: TimeSignal):
+    if (len(a), a.sample_rate) != (len(b), b.sample_rate):
+        raise ValueError(
+            f"signals differ in length or sample rate: {len(a)} samples at {a.sample_rate} Hz"
+            f" vs {len(b)} samples at {b.sample_rate} Hz"
+        )
 
 
 def _log_ratio_db(num: float, den: float) -> float:
@@ -43,14 +47,14 @@ def _log_ratio_db(num: float, den: float) -> float:
 
 def erle(y: TimeSignal, e: TimeSignal) -> float:
     """Echo reduction in dB: pre-cancellation mic signal y against residual e."""
-    _check_lengths(y, e)
+    _check_length_and_rate(y, e)
     return _log_ratio_db(y.energy(), e.energy())
 
 
 def sdr(target: TimeSignal, estimate: TimeSignal) -> float:
     """Plain signal-to-distortion ratio in dB, no scaling projection or
     distortion filter."""
-    _check_lengths(target, estimate)
+    _check_length_and_rate(target, estimate)
     err = target.samples - estimate.samples
     return _log_ratio_db(target.energy(), pairwise_dot(err, err))
 
@@ -61,7 +65,7 @@ def s_sisnr(target: TimeSignal, estimate: TimeSignal) -> float:
 
     Positive scaling of either argument leaves the value unchanged.
     """
-    _check_lengths(target, estimate)
+    _check_length_and_rate(target, estimate)
     t = target.samples - np.mean(target.samples)
     e = estimate.samples - np.mean(estimate.samples)
     nt = np.sqrt(pairwise_dot(t, t))
@@ -81,14 +85,12 @@ def _compress(data: np.ndarray, p: float) -> np.ndarray:
     return data * scale
 
 
-def ri_mag_loss(S: Spectrogram, S_hat: Spectrogram, p: float = 0.5) -> float:
+def ri_mag_loss(S: Spectrogram, S_hat: Spectrogram) -> float:
     """Power-law-compressed complex difference plus compressed magnitude
-    difference, summed over all T-F units."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
-    grids = [(spec.data.shape, spec.config, spec.sample_rate) for spec in (S, S_hat)]
-    if grids[0] != grids[1]:
-        raise ValueError(f"spectrograms disagree on shape or grid: {grids}")
+    difference, summed over all T-F units, at power RI_MAG_POWER. Both
+    spectrograms must share one shape, STFT config and sample rate."""
+    require_one_grid(S, S_hat)
+    p = RI_MAG_POWER
     comp = _compress(S.data, p)
     comp_hat = _compress(S_hat.data, p)
     l_ri = float(np.sum(np.abs(comp - comp_hat) ** 2))

@@ -19,6 +19,7 @@ from .dsp import (
     Spectrogram,
     StftConfig,
     TimeSignal,
+    require_one_grid,
     stft_forward,
     stft_inverse,
 )
@@ -37,7 +38,6 @@ from .wiener import WienerConfig, _n_workers, wstws_cancel
 
 FEATURE_MAGIC = b"ECF1"
 FEATURE_VERSION = 1
-N_BUNDLE_SIGNALS = 7
 _HEADER = struct.Struct("<4sIIIIII")
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -65,8 +65,8 @@ class FeatureBundle:
     """The seven aligned spectrograms consumed by a downstream model:
     far-end, mic, reference, masked reference, and the three cancellation
     residuals (mic vs far-end, mic vs reference, mic vs masked reference).
-    All seven share one shape, STFT config and sample rate, and the order of
-    the fields is the order of the signals in an exported file."""
+    The fields are exactly these seven signals, in the order of an exported
+    file, and they share one shape, STFT config and sample rate."""
 
     far: Spectrogram
     mic: Spectrogram
@@ -75,19 +75,19 @@ class FeatureBundle:
     resid_far: Spectrogram
     resid_ref: Spectrogram
     resid_ref_masked: Spectrogram
-    scene_id: str | None = None
 
     def signals(self) -> list[Spectrogram]:
-        return [getattr(self, f.name) for f in dataclasses.fields(self)[:N_BUNDLE_SIGNALS]]
+        return [getattr(self, f.name) for f in dataclasses.fields(self)]
 
     def __post_init__(self):
-        grids = {(s.data.shape, s.config, s.sample_rate) for s in self.signals()}
-        if len(grids) != 1:
-            raise ValueError(f"bundle signals disagree on shape or grid: {grids}")
+        require_one_grid(*self.signals())
 
     @property
     def config(self) -> StftConfig:
         return self.mic.config
+
+
+N_BUNDLE_SIGNALS = len(dataclasses.fields(FeatureBundle))
 
 
 def run_linear_stage(
@@ -95,10 +95,9 @@ def run_linear_stage(
     x: TimeSignal,
     r: TimeSignal,
     cfg: RunConfig | None = None,
-    scene_id: str | None = None,
 ) -> FeatureBundle:
-    """Purify the reference, then cancel the mic signal against the far-end,
-    raw reference, and purified reference. Strictly frame-online end to end."""
+    """Purify the reference, then cancel the mic signal against the far-end, raw reference
+    and purified reference, strictly frame-online; returns the seven-signal feature bundle."""
     cfg = cfg or RunConfig()
     if not (len(y) == len(x) == len(r)):
         raise ValueError("y, x, r must share a length")
@@ -128,7 +127,6 @@ def run_linear_stage(
         resid_far=resid_far,
         resid_ref=resid_ref,
         resid_ref_masked=resid_ref_masked,
-        scene_id=scene_id,
     )
 
 
@@ -333,14 +331,14 @@ def read_manifest(path) -> list[dict]:
     return records
 
 
-def _write_outputs(bundle: FeatureBundle, out: Path, export: bool) -> Path:
+def _write_outputs(bundle: FeatureBundle, out: Path, scene_id: str, export: bool) -> Path:
     """Write the stage's estimate, the masked-reference residual, as
     `<scene_id>.wav` in out and, when export is set, the bundle as
     `<scene_id>.ecf`; returns the estimate's path."""
-    est_path = out / f"{bundle.scene_id}.wav"
+    est_path = out / f"{scene_id}.wav"
     write_wav(est_path, stft_inverse(bundle.resid_ref_masked))
     if export:
-        export_features(bundle, out / f"{bundle.scene_id}.ecf")
+        export_features(bundle, out / f"{scene_id}.ecf")
     return est_path
 
 
@@ -348,7 +346,7 @@ def _run_scene(rec: dict, *, root: Path, out: Path, cfg: RunConfig, export: bool
     """Run the linear stage on one manifest scene and write its outputs;
     returns the estimate's path."""
     y, x, r = (read_wav(root / rec["files"][name]) for name in ("y", "x", "r"))
-    return _write_outputs(run_linear_stage(y, x, r, cfg, scene_id=rec["scene_id"]), out, export)
+    return _write_outputs(run_linear_stage(y, x, r, cfg), out, rec["scene_id"], export)
 
 
 def run_dataset(
@@ -414,13 +412,13 @@ def _coerce(value: str, target_type):
     return target_type(value)
 
 
-def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
-    """Flat key-value overrides for the run configuration.
+def parse_config_file(path) -> RunConfig:
+    """The default RunConfig with the file's flat key-value overrides.
 
     Every key is a dotted `section.field` path (for example
     `wiener_main.taps = 8`); blank lines and `#` comments are ignored.
     """
-    cfg = base or RunConfig()
+    cfg = RunConfig()
     sections = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     overrides: dict[str, dict] = {}
     with open(path) as fh:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from .dsp import Spectrogram
+from .dsp import Spectrogram, require_int, require_one_grid
 
 WEIGHT_FLOOR = 1e-12
 
@@ -73,6 +73,8 @@ class WienerConfig:
     weighted: bool = True
 
     def __post_init__(self):
+        require_int("taps", self.taps)
+        require_int("window_frames", self.window_frames)
         if self.taps < 1:
             raise ValueError("taps must be >= 1")
         if self.window_frames < 1:
@@ -284,7 +286,7 @@ def _solve(
         del G
         keep(sl, h, bad, xa[:taps], y)
 
-    if len(slices) == 1 or workers == 1:
+    if workers == 1:
         for sl in slices:
             solve_chunk(sl)
     else:
@@ -304,13 +306,7 @@ def wstws_cancel(
     loaded normal equations are not numerically positive definite fall back to
     a zero filter and are flagged in the filter bank.
     """
-    if Y.data.shape != X.data.shape:
-        raise ValueError(f"spectrogram shapes differ: {Y.data.shape} vs {X.data.shape}")
-    if Y.config != X.config or Y.sample_rate != X.sample_rate:
-        raise ValueError(
-            f"spectrogram grids differ: {Y.config} at {Y.sample_rate} Hz"
-            f" vs {X.config} at {X.sample_rate} Hz"
-        )
+    require_one_grid(Y, X)
     n_frames, n_bins = Y.data.shape
 
     # frames innermost: [bin, frame]; copies, so that the filter bank's later

@@ -172,6 +172,18 @@ def test_eval_rejects_estimate_at_another_sample_rate(corpora, tmp_path, capsys)
     assert "8000 Hz" in capsys.readouterr().err
 
 
+def test_eval_rejects_direct_path_at_another_sample_rate(corpora, tmp_path):
+    data = tmp_path / "data"
+    args = ["--corpus-near", str(corpora / "near"), "--corpus-far", str(corpora / "far")]
+    assert main(["synth", "--count", "1", *args, "--out", str(data), "--seed", "2"]) == 0
+    scene = data / "scene_000000"
+    write_wav(scene / "sd.wav", TimeSignal(read_wav(scene / "sd.wav").samples, 8000))
+    est = tmp_path / "est" / "scene_000000.wav"
+    write_wav(est, read_wav(scene / "y.wav"))
+    with pytest.raises(ValueError, match="^signals differ .*at 8000 Hz vs .*at 16000 Hz$"):
+        eval_dataset(data / "manifest.jsonl", est.parent, tmp_path / "report.jsonl")
+
+
 def test_run_single_triplet(corpora, tmp_path, capsys):
     data = tmp_path / "d2"
     main(

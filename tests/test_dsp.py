@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from helpers import delay_stack, frame_loop_istft, speech_like
@@ -106,6 +108,28 @@ def test_inconsistent_spectrogram_shape_raises():
     cfg = StftConfig()
     with pytest.raises(ValueError):
         Spectrogram(np.zeros((10, cfg.n_bins + 1), dtype=complex), cfg)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        pytest.param({"window_len": 321}, "window_len must be a positive even", id="odd_window"),
+        pytest.param({"hop": 0}, "hop must satisfy 0 < hop <= window_len", id="zero_hop"),
+        pytest.param({"hop": 400}, "hop must satisfy 0 < hop <= window_len", id="hop_over_window"),
+        # sizes are whole numbers: a float fails here, not deep in the STFT
+        pytest.param({"window_len": 320.0}, "window_len must be an integer", id="float_window"),
+        pytest.param({"hop": 160.0}, "hop must be an integer, got 160.0", id="float_hop"),
+    ],
+)
+def test_config_validation(settings, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}") as err:
+        StftConfig(**settings)
+    assert "\n" not in str(err.value)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = StftConfig(window_len=np.int64(320), hop=np.int32(160))
+    assert (cfg.window_len, cfg.hop, cfg.n_bins) == (320, 160, 161)
 
 
 def test_zero_frame_spectrogram_raises():

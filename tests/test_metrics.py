@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -37,6 +38,21 @@ def test_erle_fixed_points(rng):
 def test_erle_length_mismatch():
     with pytest.raises(ValueError):
         erle(TimeSignal(np.zeros(10)), TimeSignal(np.zeros(11)))
+
+
+# a metric compares two signals on one time axis: one length, one sample rate
+@pytest.mark.parametrize("metric", [erle, sdr, s_sisnr])
+def test_metrics_reject_signals_at_different_sample_rates(rng, metric):
+    a = speech_like(rng, 1600)
+    b = TimeSignal(speech_like(rng, 1600).samples, 8000)
+    message = (
+        "signals differ in length or sample rate: "
+        "1600 samples at 16000 Hz vs 1600 samples at 8000 Hz"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        metric(a, b)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_estimate("ST_FE", a, a, b)
 
 
 def test_sdr_fixed_points(rng):
@@ -82,8 +98,8 @@ def test_ri_mag_loss_fixed_points(rng):
     cfg = StftConfig(window_len=4, hop=2)
     one = Spectrogram(np.array([[1.0 + 0j, 0j, 0j]]), cfg)
     zero = Spectrogram(np.zeros((1, 3), dtype=complex), cfg)
-    # single unit, p = 0.5: compressed difference 1 plus magnitude difference 1
-    assert ri_mag_loss(one, zero, p=0.5) == pytest.approx(2.0, abs=1e-12)
+    # single unit, power 0.5: compressed difference 1 plus magnitude difference 1
+    assert ri_mag_loss(one, zero) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ri_mag_loss_symmetry_and_nonnegativity(rng):

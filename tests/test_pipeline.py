@@ -572,9 +572,15 @@ def test_config_file_errors_name_their_line_and_section(tmp_path):
 def test_config_file_ref_taps_reach_the_mask(rng, tmp_path):
     y, x, r = (speech_like(rng, FS) for _ in range(3))
     cfg_path = tmp_path / "ref.cfg"
-    cfg_path.write_text("wiener_ref.taps = 4\n")
-    cfg = parse_config_file(cfg_path, SMALL)
-    assert cfg.wiener_ref.taps == 4
+    # SMALL's settings, with 4 reference taps instead of 1
+    cfg_path.write_text(
+        f"wiener_main.taps = {SMALL.wiener_main.taps}\n"
+        f"wiener_main.window_frames = {SMALL.wiener_main.window_frames}\n"
+        f"wiener_ref.window_frames = {SMALL.wiener_ref.window_frames}\n"
+        "wiener_ref.taps = 4\n"
+    )
+    cfg = parse_config_file(cfg_path)
+    assert cfg == replace(SMALL, wiener_ref=replace(SMALL.wiener_ref, taps=4))
     base = run_linear_stage(y, x, r, SMALL).ref_masked.data
     assert not np.array_equal(run_linear_stage(y, x, r, cfg).ref_masked.data, base)
 

@@ -305,6 +305,11 @@ def test_chunk_plan(taps, n_frames, bins):
     # frames), unless one bin alone does
     bin_bytes = 16 * (taps * (taps + 3) // 2) * n_frames
     assert bins * bin_bytes <= 4 * 16 * 230 * 599 or bins == 1
+    # two or more workers always get two or more chunks, down to the
+    # smallest grid's 2 bins, so _solve needs no one-chunk case
+    for workers in (2, 3, 4):
+        for n_bins in (2, 3, 5, 161):
+            assert len(wiener._chunk_slices(taps, n_frames, n_bins, workers)) >= 2
 
 
 def test_chunk_stack_matches_delay_stack(rng):
@@ -443,6 +448,21 @@ def test_config_validation():
         WienerConfig(diag_load=-1e-9)
 
 
+# sizes are whole numbers: a float or a bool fails here, not deep in the solver
+@pytest.mark.parametrize(
+    "field, value",
+    [("taps", 2.5), ("window_frames", 7.5), ("taps", True)],
+)
+def test_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+        WienerConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = WienerConfig(taps=np.int64(4), window_frames=np.int32(24))
+    assert (cfg.taps, cfg.window_frames) == (4, 24)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -462,10 +482,10 @@ def test_shape_mismatch_raises(rng):
     Y = random_spectrogram(rng, 10)
     X = random_spectrogram(rng, 12)
     cfg = WienerConfig(taps=1, window_frames=4)
-    with pytest.raises(ValueError, match="shapes differ"):
+    with pytest.raises(ValueError, match="^spectrograms disagree on shape or grid: .* vs .*$"):
         wstws_cancel(Y, X, cfg)
     # the same shape on another grid: half the hop, or another sample rate
     X = random_spectrogram(rng, 10)
     for other in (Spectrogram(X.data, StftConfig(hop=80)), Spectrogram(X.data, X.config, 8000)):
-        with pytest.raises(ValueError, match="^spectrogram grids differ: .* vs .*$"):
+        with pytest.raises(ValueError, match="^spectrograms disagree on shape or grid: .* vs .*$"):
             wstws_cancel(Y, other, cfg)
