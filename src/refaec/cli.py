@@ -12,15 +12,14 @@ import numpy as np
 from .dsp import DEFAULT_SAMPLE_RATE, TimeSignal
 from .pipeline import (
     RunConfig,
-    _write_outputs,
+    _run_scene,
     eval_dataset,
     parse_config_file,
     run_dataset,
-    run_linear_stage,
     synth_dataset,
 )
 from .roomsim import RoomSpec, image_method_rir, sample_geometry
-from .wavio import read_wav, write_wav
+from .wavio import write_wav
 
 USAGE_ERROR = 2
 
@@ -111,10 +110,10 @@ def _cmd_run(args) -> int:
         return 0
     if not (args.y and args.x and args.r):
         raise CliError("run needs either --manifest or all of --y/--x/--r")
-    y = read_wav(_require_file(args.y, "mic signal"))
-    x = read_wav(_require_file(args.x, "far-end signal"))
-    r = read_wav(_require_file(args.r, "reference signal"))
-    _write_outputs(run_linear_stage(y, x, r, cfg), Path(args.out), "single", args.export_features)
+    labels = {"y": "mic signal", "x": "far-end signal", "r": "reference signal"}
+    files = {name: _require_file(getattr(args, name), what) for name, what in labels.items()}
+    rec = {"scene_id": "single", "files": files}
+    _run_scene(rec, root=Path(), out=Path(args.out), cfg=cfg, export=args.export_features)
     return 0
 
 

@@ -31,6 +31,12 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_sample_rate(rate) -> None:
+    require_int("sample_rate", rate)
+    if rate <= 0:
+        raise ValueError(f"sample_rate must be positive, got {rate}")
+
+
 def _as_mono_float(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1:
@@ -47,8 +53,7 @@ class TimeSignal:
 
     def __post_init__(self):
         self.samples = _as_mono_float(self.samples)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        _require_sample_rate(self.sample_rate)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal contains non-finite samples")
 
@@ -99,6 +104,7 @@ class Spectrogram:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
+        _require_sample_rate(self.sample_rate)
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 2 or len(self.data) == 0:
             raise ValueError(f"spectrogram must be 2-D with frames, got shape {self.data.shape}")
@@ -129,6 +135,15 @@ def require_one_grid(*specs: Spectrogram) -> None:
     if len(set(grids)) > 1:
         named = " vs ".join(f"{shape} {cfg} at {rate} Hz" for shape, cfg, rate in grids)
         raise ValueError(f"spectrograms disagree on shape or grid: {named}")
+
+
+def require_one_timeline(*signals: TimeSignal) -> None:
+    """Raise a one-line ValueError naming every signal's sample count and
+    rate unless all the signals share one length and sample rate."""
+    timelines = [(len(s), s.sample_rate) for s in signals]
+    if len(set(timelines)) > 1:
+        named = " vs ".join(f"{n} samples at {rate} Hz" for n, rate in timelines)
+        raise ValueError(f"signals differ in length or sample rate: {named}")
 
 
 def stft_forward(sig: TimeSignal, cfg: StftConfig | None = None) -> Spectrogram:

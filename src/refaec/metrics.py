@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, StftConfig, TimeSignal, pairwise_dot, require_one_grid, stft_forward
+from .dsp import Spectrogram, StftConfig, TimeSignal, pairwise_dot, stft_forward
+from .dsp import require_one_grid, require_one_timeline
 
 ENERGY_FLOOR = 1e-12
 DB_CAP = 100.0
@@ -33,28 +34,20 @@ class MetricReport:
     ri_mag_loss: float | None = None
 
 
-def _check_length_and_rate(a: TimeSignal, b: TimeSignal):
-    if (len(a), a.sample_rate) != (len(b), b.sample_rate):
-        raise ValueError(
-            f"signals differ in length or sample rate: {len(a)} samples at {a.sample_rate} Hz"
-            f" vs {len(b)} samples at {b.sample_rate} Hz"
-        )
-
-
 def _log_ratio_db(num: float, den: float) -> float:
     return float(min(10.0 * np.log10((num + ENERGY_FLOOR) / (den + ENERGY_FLOOR)), DB_CAP))
 
 
 def erle(y: TimeSignal, e: TimeSignal) -> float:
     """Echo reduction in dB: pre-cancellation mic signal y against residual e."""
-    _check_length_and_rate(y, e)
+    require_one_timeline(y, e)
     return _log_ratio_db(y.energy(), e.energy())
 
 
 def sdr(target: TimeSignal, estimate: TimeSignal) -> float:
     """Plain signal-to-distortion ratio in dB, no scaling projection or
     distortion filter."""
-    _check_length_and_rate(target, estimate)
+    require_one_timeline(target, estimate)
     err = target.samples - estimate.samples
     return _log_ratio_db(target.energy(), pairwise_dot(err, err))
 
@@ -65,7 +58,7 @@ def s_sisnr(target: TimeSignal, estimate: TimeSignal) -> float:
 
     Positive scaling of either argument leaves the value unchanged.
     """
-    _check_length_and_rate(target, estimate)
+    require_one_timeline(target, estimate)
     t = target.samples - np.mean(target.samples)
     e = estimate.samples - np.mean(estimate.samples)
     nt = np.sqrt(pairwise_dot(t, t))

@@ -20,6 +20,7 @@ from .dsp import (
     StftConfig,
     TimeSignal,
     require_one_grid,
+    require_one_timeline,
     stft_forward,
     stft_inverse,
 )
@@ -99,10 +100,7 @@ def run_linear_stage(
     """Purify the reference, then cancel the mic signal against the far-end, raw reference
     and purified reference, strictly frame-online; returns the seven-signal feature bundle."""
     cfg = cfg or RunConfig()
-    if not (len(y) == len(x) == len(r)):
-        raise ValueError("y, x, r must share a length")
-    if not (y.sample_rate == x.sample_rate == r.sample_rate):
-        raise ValueError("y, x, r must share a sample rate")
+    require_one_timeline(y, x, r)
     if y.sample_rate != DEFAULT_SAMPLE_RATE:
         raise ValueError(
             f"the linear stage runs at {DEFAULT_SAMPLE_RATE} Hz, got {y.sample_rate} Hz"
@@ -331,22 +329,18 @@ def read_manifest(path) -> list[dict]:
     return records
 
 
-def _write_outputs(bundle: FeatureBundle, out: Path, scene_id: str, export: bool) -> Path:
-    """Write the stage's estimate, the masked-reference residual, as
-    `<scene_id>.wav` in out and, when export is set, the bundle as
-    `<scene_id>.ecf`; returns the estimate's path."""
-    est_path = out / f"{scene_id}.wav"
+def _run_scene(rec: dict, *, root: Path, out: Path, cfg: RunConfig, export: bool) -> Path:
+    """Run the linear stage on one scene record, its files relative to root.
+    Writes the estimate, the masked-reference residual, as `<scene_id>.wav`
+    in out and, when export is set, the bundle as `<scene_id>.ecf`; returns
+    the estimate's path."""
+    y, x, r = (read_wav(root / rec["files"][name]) for name in ("y", "x", "r"))
+    bundle = run_linear_stage(y, x, r, cfg)
+    est_path = out / f"{rec['scene_id']}.wav"
     write_wav(est_path, stft_inverse(bundle.resid_ref_masked))
     if export:
-        export_features(bundle, out / f"{scene_id}.ecf")
+        export_features(bundle, out / f"{rec['scene_id']}.ecf")
     return est_path
-
-
-def _run_scene(rec: dict, *, root: Path, out: Path, cfg: RunConfig, export: bool) -> Path:
-    """Run the linear stage on one manifest scene and write its outputs;
-    returns the estimate's path."""
-    y, x, r = (read_wav(root / rec["files"][name]) for name in ("y", "x", "r"))
-    return _write_outputs(run_linear_stage(y, x, r, cfg), out, rec["scene_id"], export)
 
 
 def run_dataset(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dsp import DEFAULT_SAMPLE_RATE, TimeSignal, pairwise_dot
+from .dsp import DEFAULT_SAMPLE_RATE, TimeSignal, pairwise_dot, require_one_timeline
 from .nonlinear import NonlinearityKind, apply_nonlinearity
 
 WALL_MARGIN = 0.1
@@ -351,13 +351,12 @@ def synthesize_scene(
     gain, with ser_db recorded as None. seed is only recorded on the Scene:
     the synthesis draws no random numbers.
     """
-    if v.sample_rate != x.sample_rate:
-        raise ValueError("near-end and far-end sample rates differ")
     validate_geometry(room, geom)
     fs = x.sample_rate
     n = int(round(duration * fs))
     v = _fit_length(v, n)
     x = _fit_length(x, n)
+    require_one_timeline(v, x)
 
     h1, h2, h3, h4 = _scene_rirs(room, geom, fs)
 

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import speech_like
+from helpers import criterion_10_tree, speech_like
 
-from refaec import TimeSignal
+from refaec import RoomSpec, TimeSignal, sample_geometry
 from refaec.cli import main
 from refaec.pipeline import eval_dataset
 from refaec.wavio import read_wav, write_wav
@@ -65,6 +65,23 @@ def test_rir_generation(tmp_path, capsys):
     h = read_wav(out)
     d = np.linalg.norm([2.0, 0.8, 0.1])
     onset = np.flatnonzero(h.samples)[0]
+    assert abs(onset - round(16000 * d / 343.0)) <= 1
+    capsys.readouterr()
+
+
+def test_rir_samples_its_geometry_from_the_seed(tmp_path, capsys):
+    room = ["--room", "5.0", "4.0", "3.0", "--t60", "0.25"]
+
+    def rir_bytes(seed, name):
+        assert main(["rir", *room, "--seed", str(seed), "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name).read_bytes()
+
+    first = rir_bytes(0, "a.wav")
+    assert rir_bytes(0, "b.wav") == first
+    assert rir_bytes(1, "c.wav") != first
+    geom = sample_geometry(RoomSpec(5.0, 4.0, 3.0, t60=0.25), np.random.default_rng(0))
+    d = np.linalg.norm(np.subtract(geom.loudspeaker, geom.main_mic))
+    onset = np.flatnonzero(read_wav(tmp_path / "a.wav").samples)[0]
     assert abs(onset - round(16000 * d / 343.0)) <= 1
     capsys.readouterr()
 
@@ -184,53 +201,44 @@ def test_eval_rejects_direct_path_at_another_sample_rate(corpora, tmp_path):
         eval_dataset(data / "manifest.jsonl", est.parent, tmp_path / "report.jsonl")
 
 
-def test_run_single_triplet(corpora, tmp_path, capsys):
-    data = tmp_path / "d2"
-    main(
-        [
-            "synth",
-            "--count", "1",
-            "--corpus-near", str(corpora / "near"),
-            "--corpus-far", str(corpora / "far"),
-            "--out", str(data),
-            "--seed", "1",
-        ]
-    )
-    config = tmp_path / "desk.cfg"
-    config.write_text("wiener_main.taps = 4\nwiener_main.window_frames = 24\n")
-    scene = data / "scene_000000"
+def _run_triplet(folder, *options):
+    files = [arg for name in ("y", "x", "r") for arg in (f"--{name}", str(folder / f"{name}.wav"))]
+    return main(["run", *files, *options])
+
+
+def test_run_single_triplet(tmp_path, capsys):
+    # a triplet runs as a one-scene record named `single`, so it writes what
+    # the manifest run writes for the same scene
+    root = tmp_path / "tree"
+    criterion_10_tree(tmp_path, root)
     out = tmp_path / "single_out"
-    code = main(
-        [
-            "run",
-            "--y", str(scene / "y.wav"),
-            "--x", str(scene / "x.wav"),
-            "--r", str(scene / "r.wav"),
-            "--config", str(config),
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert (out / "single.wav").exists()
+    config = tmp_path / "desk.cfg"
+    args = ("--config", str(config), "--export-features", "--out", str(out))
+    assert _run_triplet(root / "data" / "scene_000000", *args) == 0
+    for ext in ("wav", "ecf"):
+        manifest_run = root / "est" / f"scene_000000.{ext}"
+        assert (out / f"single.{ext}").read_bytes() == manifest_run.read_bytes()
     capsys.readouterr()
 
 
-def test_run_defaults_need_no_config(rng, tmp_path, capsys):
+def test_run_defaults_need_no_config(rng, tmp_path, monkeypatch, capsys):
     for name in ("y", "x", "r"):
         write_wav(tmp_path / f"{name}.wav", speech_like(rng, 16000))
-    out = tmp_path / "out"
-    code = main(
-        [
-            "run",
-            "--y", str(tmp_path / "y.wav"),
-            "--x", str(tmp_path / "x.wav"),
-            "--r", str(tmp_path / "r.wav"),
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert (out / "single.wav").exists()
+    monkeypatch.chdir(tmp_path)  # the paths are relative to the working directory
+    assert _run_triplet(Path(), "--out", "out") == 0
+    assert (tmp_path / "out" / "single.wav").exists()
     capsys.readouterr()
+
+
+def test_run_rejects_a_triplet_of_different_lengths(rng, tmp_path, capsys):
+    for name, n in (("y", 16000), ("x", 16160), ("r", 16000)):
+        write_wav(tmp_path / f"{name}.wav", speech_like(rng, n))
+    assert _run_triplet(tmp_path, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: signals differ in length or sample rate: 16000 samples at 16000 Hz"
+        " vs 16160 samples at 16000 Hz vs 16000 samples at 16000 Hz\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_determinism_across_directories(corpora, tmp_path, capsys):

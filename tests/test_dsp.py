@@ -2,10 +2,9 @@ import re
 
 import numpy as np
 import pytest
-from helpers import delay_stack, frame_loop_istft, speech_like
+from helpers import frame_loop_istft, speech_like
 
 from refaec import Spectrogram, StftConfig, TimeSignal, stft_forward, stft_inverse
-from refaec.wiener import _chunk_stack
 
 
 def test_zero_signal_gives_zero_spectrogram():
@@ -127,6 +126,33 @@ def test_config_validation(settings, message):
     assert "\n" not in str(err.value)
 
 
+# a rate is a positive whole number of samples per second: anything else
+# fails here, not deep in write_wav or the STFT
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda rate: TimeSignal(np.zeros(320), rate), id="time_signal"),
+        pytest.param(
+            lambda rate: Spectrogram(np.zeros((1, 161)), StftConfig(), rate), id="spectrogram"
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        pytest.param(16000.5, "sample_rate must be an integer, got 16000.5", id="fractional"),
+        pytest.param(16000.0, "sample_rate must be an integer, got 16000.0", id="float"),
+        pytest.param(True, "sample_rate must be an integer, got True", id="bool"),
+        pytest.param(0, "sample_rate must be positive, got 0", id="zero"),
+        pytest.param(-5, "sample_rate must be positive, got -5", id="negative"),
+    ],
+)
+def test_sample_rate_validation(make, rate, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(rate)
+    assert make(np.int64(16000)).sample_rate == 16000
+
+
 def test_config_accepts_numpy_integers():
     cfg = StftConfig(window_len=np.int64(320), hop=np.int32(160))
     assert (cfg.window_len, cfg.hop, cfg.n_bins) == (320, 160, 161)
@@ -161,36 +187,6 @@ def test_parseval_per_frame(rng):
         row = np.abs(spec.data[t]) ** 2
         freq_energy = (row[0] + 2 * row[1:-1].sum() + row[-1]) / n
         assert abs(time_energy - freq_energy) / time_energy < 1e-8
-
-
-def _delay_embed(data, taps):
-    """[frame, bin, lag] view of the delay lags that the Wiener chunk stack holds."""
-    xa, _ = _chunk_stack(data.T, data.T, slice(None), taps)
-    return xa[:taps].transpose(2, 1, 0)
-
-
-def test_delay_stack_zero_prehistory(rng):
-    spec = Spectrogram(rng.standard_normal((8, 161)) + 1j * rng.standard_normal((8, 161)), StftConfig())
-    out = _delay_embed(spec.data, 3)[0, 5]
-    assert out[0] == spec.data[0, 5]
-    assert out[1] == 0 and out[2] == 0
-
-
-def test_delay_stack_identity_and_definition(rng):
-    spec = Spectrogram(rng.standard_normal((8, 161)) + 1j * rng.standard_normal((8, 161)), StftConfig())
-    assert _delay_embed(spec.data, 1)[4, 7, 0] == spec.data[4, 7]
-    out = _delay_embed(spec.data, 2)[5, 2]
-    assert out[0] == spec.data[5, 2] and out[1] == spec.data[4, 2]
-
-
-def test_delay_embed_matches_delay_stack(rng):
-    spec = Spectrogram(
-        rng.standard_normal((20, 161)) + 1j * rng.standard_normal((20, 161)), StftConfig()
-    )
-    embedded = _delay_embed(spec.data, 5)
-    for t in (0, 1, 4, 19):
-        for f in (0, 80, 160):
-            assert np.array_equal(embedded[t, f], delay_stack(spec, t, f, 5))
 
 
 def test_round_trip_property_random_lengths(rng):

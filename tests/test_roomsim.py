@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -338,6 +339,16 @@ def test_geometry_error_raised_before_synthesis(rng):
     bad = SceneGeometry((2.0, 2.0, 1.5), (3.5, 3.0, 1.5), (1.2, 1.1, 1.2), (2.9, 2.0, 1.5))
     with pytest.raises(GeometryError):
         synthesize_scene(room, bad, v, x, NonlinearityKind("identity"), 0.0)
+
+
+def test_scene_rejects_sources_at_different_sample_rates(rng):
+    v = TimeSignal(speech_like(rng, FS // 2).samples, 8000)
+    message = (
+        "signals differ in length or sample rate: "
+        "16000 samples at 8000 Hz vs 16000 samples at 16000 Hz"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _small_scene(rng, v, speech_like(rng, FS))
 
 
 def test_room_spec_validation():

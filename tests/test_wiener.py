@@ -312,15 +312,18 @@ def test_chunk_plan(taps, n_frames, bins):
             assert len(wiener._chunk_slices(taps, n_frames, n_bins, workers)) >= 2
 
 
-def test_chunk_stack_matches_delay_stack(rng):
+@pytest.mark.parametrize(
+    "sl", [pytest.param(slice(79, 83), id="bins_79_82"), pytest.param(slice(None), id="all_bins")]
+)
+def test_chunk_stack_matches_delay_stack(rng, sl):
     n_frames, taps = 20, 5
     Y = random_spectrogram(rng, n_frames)
     X = random_spectrogram(rng, n_frames)
-    sl = slice(79, 83)
+    bins = range(X.n_bins)[sl]
     xa, y = wiener._chunk_stack(X.data.T, Y.data.T, sl, taps)
-    assert xa.shape == (taps + 1, 4, n_frames)
+    assert xa.shape == (taps + 1, len(bins), n_frames)
     for t in range(n_frames):
-        for j, f in enumerate(range(sl.start, sl.stop)):
+        for j, f in enumerate(bins):
             # X[t - k, f] at lag k, zero before frame 0
             assert np.array_equal(xa[:taps, j, t], delay_stack(X, t, f, taps))
     assert np.all(xa[1:taps, :, 0] == 0)

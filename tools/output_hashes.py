@@ -15,7 +15,9 @@ output bit in that group. The groups are:
   of 4 double-talk scenes;
 - the synth / run --export-features / eval file tree of acceptance
   criterion 10, with its scenes on 1 and on 2 worker processes. Its
-  report.jsonl is hashed on a line of its own, after the rest of the tree.
+  report.jsonl is hashed on a line of its own, after the rest of the tree;
+- the output of `refaec run --y/--x/--r --config desk.cfg --export-features`
+  on the first scene of that tree.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import refaec  # noqa: E402
 from helpers import criterion_10_tree, speech_like  # noqa: E402
 from refaec import NonlinearityKind, TimeSignal  # noqa: E402
+from refaec.cli import main as cli_main  # noqa: E402
 
 FS = 16000
 SCENE_SIGNALS = (
@@ -118,6 +121,19 @@ def tree_hashes(workdir: Path, workers: int) -> tuple[str, str]:
     return _file_tree(root, skip=report.name), hashlib.sha256(report.read_bytes()).hexdigest()
 
 
+def triplet_hash(workdir: Path) -> str:
+    """The hash of the files that a triplet run writes for the first scene of
+    the criterion-10 tree that tree_hashes(workdir, 1) made."""
+    scene = workdir / "exec_1" / "data" / "scene_000000"
+    out = workdir / "triplet"
+    files = [arg for name in ("y", "x", "r") for arg in (f"--{name}", str(scene / f"{name}.wav"))]
+    options = ["--config", str(workdir / "desk.cfg"), "--export-features", "--out", str(out)]
+    code = cli_main(["run", *files, *options])
+    if code != 0:
+        sys.exit(f"error: refaec run exited {code}")
+    return _file_tree(out)
+
+
 def main() -> None:
     stage, bank = stage_hashes()
     print(f"{stage}  run_linear_stage arrays, 6 s default scene")
@@ -129,6 +145,7 @@ def main() -> None:
             tree, report = tree_hashes(Path(tmp), workers)
             print(f"{tree}  criterion-10 tree without report.jsonl, {workers} worker(s)")
             print(f"{report}  criterion-10 report.jsonl, {workers} worker(s)")
+        print(f"{triplet_hash(Path(tmp))}  triplet run of the first criterion-10 scene")
 
 
 if __name__ == "__main__":
