@@ -97,6 +97,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.manifest and (args.y or args.x or args.r):
+        raise CliError("run takes either --manifest or --y/--x/--r, not both")
     cfg = RunConfig()
     if args.config:
         cfg = parse_config_file(_require_file(args.config, "config file"))

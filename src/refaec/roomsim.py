@@ -10,7 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dsp import DEFAULT_SAMPLE_RATE, TimeSignal, pairwise_dot, require_one_timeline
+from .dsp import (
+    DEFAULT_SAMPLE_RATE,
+    TimeSignal,
+    _require_sample_rate,
+    pairwise_dot,
+    require_one_timeline,
+)
 from .nonlinear import NonlinearityKind, apply_nonlinearity
 
 WALL_MARGIN = 0.1
@@ -114,6 +120,7 @@ def _image_lattice(
     Returns the response length and, per source parity, each image's arrival
     sample, reflection count and 4*pi*d spreading, in accumulation order.
     """
+    _require_sample_rate(sample_rate)
     dims = room.dims
     direct = float(np.linalg.norm(src - mic))
     c = SPEED_OF_SOUND

@@ -6,10 +6,11 @@ divides each frame's squared error by an energy-tracking weight so that
 low-energy units do not dominate the fit.
 
 wstws_cancel solves every unit's normal equations A h = b at once, a chunk of
-bins at a time, in _solve. _chunk_slices plans the chunks and _chunk_stack
-lays out each chunk's delay stack and y, frames innermost. Four phases follow
-over an [entry, bin, frame] buffer that holds the Hermitian A as its packed
-upper triangle with b[i] at the end of row i:
+bins at a time, in _solve. _chunk_slices plans the chunks, _chunk_stack lays
+out each chunk's delay stack and y, frames innermost, and lambda_weights
+derives the chunk's weights from that y alone. Four phases follow over an
+[entry, bin, frame] buffer that holds the Hermitian A as its packed upper
+triangle with b[i] at the end of row i:
 _products builds the per-frame terms, _windowed_sums sums them over each
 sliding window, _factor_solve loads A and solves by a Cholesky factorisation
 A = R^H R written as elementwise passes over all units, and _residual applies
@@ -93,10 +94,10 @@ class FilterBank:
     taps, shape [n_frames, n_bins, taps]: taps[t] is the filter estimated at
     frame t and depends only on frames <= t. It is solved when first read,
     bit for bit as the call solved it (outputs do not depend on the chunk
-    plan), from the call's own copies of X, Y and the weights transposed to
-    [bin, frame] and its config, and then kept; a caller that only wants the
-    residual never pays for the tensor. degenerate, shape [n_frames, n_bins],
-    marks units whose loaded normal equations were not numerically positive
+    plan), from the call's own copies of X and Y transposed to [bin, frame]
+    and its config, and then kept; a caller that only wants the residual
+    never pays for the tensor. degenerate, shape [n_frames, n_bins], marks
+    units whose loaded normal equations were not numerically positive
     definite (or gave non-finite taps); those units carry a zero filter
     instead of aborting the run.
     """
@@ -106,25 +107,25 @@ class FilterBank:
 
     @functools.cached_property
     def taps(self) -> np.ndarray:
-        xt, yt, wt, cfg = self._inputs
+        xt, yt, cfg = self._inputs
         n_bins, n_frames = xt.shape
         h_all = np.empty((n_frames, n_bins, cfg.taps), dtype=np.complex128)
 
         def keep(sl, h, bad, xc, y) -> None:
             h_all[:, sl, :] = h.transpose(2, 1, 0)
 
-        _solve(xt, yt, wt, cfg, keep)
+        _solve(xt, yt, cfg, keep)
         return h_all
 
 
-def lambda_weights(Y: Spectrogram, window_frames: int, floor: float) -> np.ndarray:
-    """Energy weight of every unit, shape [n_frames, n_bins]: floor times the
-    peak power over [t - window_frames, t] plus the unit's own power. Units
+def lambda_weights(y: np.ndarray, window_frames: int, floor: float) -> np.ndarray:
+    """Energy weight of every unit of y, frames on the last axis: floor times
+    the peak power over [t - window_frames, t] plus the unit's own power. Units
     whose whole window is silent get WEIGHT_FLOOR so quotients stay defined."""
-    power = np.abs(Y.data) ** 2
+    power = np.abs(y) ** 2
     size = window_frames + 1
     peak = maximum_filter1d(
-        power, size=size, axis=0, mode="constant", cval=0.0, origin=(size - 1) // 2
+        power, size=size, axis=-1, mode="constant", cval=0.0, origin=(size - 1) // 2
     )
     lam = floor * peak + power
     lam[lam == 0.0] = WEIGHT_FLOOR
@@ -266,12 +267,11 @@ def _residual(h: np.ndarray, xc: np.ndarray, y: np.ndarray) -> np.ndarray:
     return res
 
 
-def _solve(
-    xt: np.ndarray, yt: np.ndarray, wt: np.ndarray, cfg: WienerConfig, keep: Callable[..., None]
-) -> None:
-    """Solve every unit of X, Y and the weights transposed to [bin, frame], a
-    chunk of bins at a time; keep(sl, h, bad, xc, y) takes each chunk's taps
-    [taps, bin, frame], degenerate mask, conjugated delay stack and y."""
+def _solve(xt: np.ndarray, yt: np.ndarray, cfg: WienerConfig, keep: Callable[..., None]) -> None:
+    """Solve every unit of X and Y transposed to [bin, frame], a chunk of bins
+    at a time, each chunk weighted from its own y; keep(sl, h, bad, xc, y)
+    takes each chunk's taps [taps, bin, frame], degenerate mask, conjugated
+    delay stack and y."""
     taps = cfg.taps
     # a child process, such as a scene worker, solves on one thread: the
     # scene pool already runs one worker per CPU
@@ -281,7 +281,8 @@ def _solve(
 
     def solve_chunk(sl: slice) -> None:
         xa, y = _chunk_stack(xt, yt, sl, taps)
-        G = _windowed_sums(_products(xa, wt[sl]), cfg.window_frames)
+        weights = 1.0 / lambda_weights(y, cfg.window_frames, cfg.floor) if cfg.weighted else 1.0
+        G = _windowed_sums(_products(xa, weights), cfg.window_frames)
         h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
         del G
         keep(sl, h, bad, xa[:taps], y)
@@ -311,10 +312,6 @@ def wstws_cancel(
 
     # frames innermost: [bin, frame]; copies, so that the filter bank's later
     # solve does not see the caller change X or Y
-    if cfg.weighted:
-        wt = np.ascontiguousarray((1.0 / lambda_weights(Y, cfg.window_frames, cfg.floor)).T)
-    else:
-        wt = np.broadcast_to(1.0, (n_bins, n_frames))
     xt = np.array(X.data.T, order="C")
     yt = np.array(Y.data.T, order="C")
 
@@ -325,8 +322,8 @@ def wstws_cancel(
         residual[:, sl] = _residual(h, xc, y).T
         degenerate[:, sl] = bad.T
 
-    _solve(xt, yt, wt, cfg, keep)
-    return Y.like(residual), FilterBank(degenerate, (xt, yt, wt, cfg))
+    _solve(xt, yt, cfg, keep)
+    return Y.like(residual), FilterBank(degenerate, (xt, yt, cfg))
 
 
 def stws_config(cfg: WienerConfig) -> WienerConfig:

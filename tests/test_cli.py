@@ -49,6 +49,17 @@ def test_run_requires_signals_or_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("given", [("y",), ("y", "x", "r")], ids=["y", "triplet"])
+def test_run_rejects_a_manifest_with_triplet_signals(tmp_path, capsys, given):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("")
+    signals = [arg for name in given for arg in (f"--{name}", str(tmp_path / f"{name}.wav"))]
+    code = main(["run", "--manifest", str(manifest), *signals, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: run takes either --manifest or --y/--x/--r, not both\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_rir_generation(tmp_path, capsys):
     out = tmp_path / "h.wav"
     code = main(
@@ -91,6 +102,15 @@ def test_rir_rejects_t60_outside_range(tmp_path, capsys):
     code = main(["rir", "--room", "5.0", "4.0", "3.0", "--t60", "nan", "--out", str(out)])
     assert code == 1
     assert "t60 nan outside (0.1, 0.8)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "-8000"])
+def test_rir_rejects_a_rate_that_is_not_positive(tmp_path, capsys, rate):
+    out = tmp_path / "h.wav"
+    room = ["--room", "5.0", "4.0", "3.0", "--t60", "0.25"]
+    assert main(["rir", *room, "--sample-rate", rate, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: sample_rate must be positive, got {rate}\n"
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import re
 import struct
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,6 +584,13 @@ def test_config_file_ref_taps_reach_the_mask(rng, tmp_path):
     assert cfg == replace(SMALL, wiener_ref=replace(SMALL.wiener_ref, taps=4))
     base = run_linear_stage(y, x, r, SMALL).ref_masked.data
     assert not np.array_equal(run_linear_stage(y, x, r, cfg).ref_masked.data, base)
+
+
+def test_package_is_imported_from_this_checkout():
+    # pyproject.toml puts src/ on pytest's path, so a plain `python -m pytest`
+    # tests this checkout's sources, as bench/run.py requires of its runs
+    src = Path(__file__).resolve().parent.parent / "src"
+    assert Path(refaec.__file__).resolve().parent == (src / "refaec").resolve()
 
 
 def test_public_names_resolve_and_are_unique():

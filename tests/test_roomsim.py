@@ -60,6 +60,29 @@ def test_rir_reciprocity():
     assert np.allclose(h_ab, h_ba, atol=1e-12 * np.max(np.abs(h_ab)))
 
 
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (0, "sample_rate must be positive, got 0"),
+        (-8000, "sample_rate must be positive, got -8000"),
+        (16000.5, "sample_rate must be an integer, got 16000.5"),
+    ],
+    ids=["zero", "negative", "fractional"],
+)
+@pytest.mark.parametrize(
+    "response",
+    [
+        lambda room, rate: image_method_rir(room, (1.0, 1.3, 1.5), (3.5, 2.2, 1.8), rate),
+        calibrated_reflectivity,
+    ],
+    ids=["image_method_rir", "calibrated_reflectivity"],
+)
+def test_response_rejects_a_rate_that_is_not_a_positive_integer(response, rate, message):
+    room = RoomSpec(5.0, 4.0, 3.0, t60=0.25)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        response(room, rate)
+
+
 def test_calibration_and_rir_match_per_image_accumulation(rng):
     # calibration replays one image lattice for each trial reflectivity; every
     # trial, and so the result, must equal an image-by-image rebuild

@@ -25,7 +25,7 @@ def test_lambda_unit_modulus_window():
     cfg = StftConfig()
     data = np.ones((30, cfg.n_bins), dtype=complex)
     Y = Spectrogram(data, cfg)
-    assert lambda_weights(Y, 10, 0.001)[20, 5] == pytest.approx(1.001, abs=1e-15)
+    assert lambda_weights(Y.data.T, 10, 0.001)[5, 20] == pytest.approx(1.001, abs=1e-15)
 
 
 def test_lambda_zero_current_unit():
@@ -33,22 +33,22 @@ def test_lambda_zero_current_unit():
     data = np.zeros((10, cfg.n_bins), dtype=complex)
     data[3, 7] = 2.0  # window max power 4
     Y = Spectrogram(data, cfg)
-    assert lambda_weights(Y, 8, 0.001)[8, 7] == pytest.approx(0.004, abs=1e-15)
+    assert lambda_weights(Y.data.T, 8, 0.001)[7, 8] == pytest.approx(0.004, abs=1e-15)
 
 
 def test_lambda_all_zero_window_floor():
     cfg = StftConfig()
     Y = Spectrogram(np.zeros((10, cfg.n_bins), dtype=complex), cfg)
-    assert lambda_weights(Y, 5, 0.001)[5, 0] == 1e-12
+    assert lambda_weights(Y.data.T, 5, 0.001)[0, 5] == 1e-12
 
 
 def test_lambda_weights_bulk_matches_single(rng):
     Y = random_spectrogram(rng, 40)
     Y.data[5:12, 3] = 0.0
-    lam = lambda_weights(Y, 7, 0.001)
+    lam = lambda_weights(Y.data.T, 7, 0.001)
     for t in (0, 3, 8, 15, 39):
         for f in (0, 3, 100):
-            assert lam[t, f] == pytest.approx(lambda_weight(Y, t, f, 7, 0.001), rel=1e-12)
+            assert lam[f, t] == pytest.approx(lambda_weight(Y, t, f, 7, 0.001), rel=1e-12)
 
 
 def test_zero_excitation_returns_zero_filter_and_input_residual(rng):
@@ -385,6 +385,27 @@ def test_call_builds_no_tap_tensor(rng, monkeypatch):
         tracemalloc.stop()
     assert peak < 24e6
     assert bank.taps.shape == (599, Y.n_bins, 20)
+
+
+def test_weighted_bank_holds_no_more_than_unweighted(rng, monkeypatch):
+    # a [bin, frame] float64 weight array held by the bank would be
+    # 200 * 161 * 8 = 257.6 kB; each chunk derives its weights from its own y.
+    # The interpreter's own small objects move either figure by some 100 B.
+    monkeypatch.setattr(wiener, "_n_workers", lambda: 1)
+    Y = random_spectrogram(rng, 200)
+    X = random_spectrogram(rng, 200)
+    weighted = WienerConfig(taps=2, window_frames=20)
+    held = {}
+    for cfg in (weighted, stws_config(weighted)):
+        wstws_cancel(Y, X, cfg)  # warm-up: caches and first-call allocations
+        tracemalloc.start()
+        try:
+            out = wstws_cancel(Y, X, cfg)
+            held[cfg.weighted] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del out
+    assert held[True] <= held[False] + 4096
 
 
 @pytest.mark.xfail(

@@ -17,7 +17,10 @@ output bit in that group. The groups are:
   criterion 10, with its scenes on 1 and on 2 worker processes. Its
   report.jsonl is hashed on a line of its own, after the rest of the tree;
 - the output of `refaec run --y/--x/--r --config desk.cfg --export-features`
-  on the first scene of that tree.
+  on the first scene of that tree;
+- the residual, taps and degenerate flags of the 6 s scene's unweighted
+  canceller, wstws_cancel(Y, R_m, stws_config(RunConfig().wiener_main)), with
+  the stage's masked reference R_m.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import refaec  # noqa: E402
 from helpers import criterion_10_tree, speech_like  # noqa: E402
 from refaec import NonlinearityKind, TimeSignal  # noqa: E402
 from refaec.cli import main as cli_main  # noqa: E402
+from refaec.wiener import stws_config  # noqa: E402
 
 FS = 16000
 SCENE_SIGNALS = (
@@ -87,14 +91,20 @@ def _scene_arrays(scene) -> list[np.ndarray]:
     return arrays
 
 
-def stage_hashes() -> tuple[str, str]:
-    """The hashes of the stage's spectrograms and of its far-end filter bank."""
+def stage_hashes() -> tuple[str, str, str]:
+    """The hashes of the stage's spectrograms, of its far-end filter bank and
+    of its unweighted canceller's residual and filter bank."""
     scene = _scene(0, 6.0, NonlinearityKind("hard_clip_sigmoid"), 0.0)
     bundle = refaec.run_linear_stage(scene.y, scene.x, scene.r)
     cfg = refaec.RunConfig()
     Y, X = (refaec.stft_forward(signal, cfg.stft) for signal in (scene.y, scene.x))
     bank = refaec.wstws_cancel(Y, X, cfg.wiener_main)[1]
-    return _digest(spec.data for spec in bundle.signals()), _digest([bank.taps, bank.degenerate])
+    residual, stws = refaec.wstws_cancel(Y, bundle.ref_masked, stws_config(cfg.wiener_main))
+    return (
+        _digest(spec.data for spec in bundle.signals()),
+        _digest([bank.taps, bank.degenerate]),
+        _digest([residual.data, stws.taps, stws.degenerate]),
+    )
 
 
 def scenes_hash(kinds, sers, first_seed: int) -> str:
@@ -135,7 +145,7 @@ def triplet_hash(workdir: Path) -> str:
 
 
 def main() -> None:
-    stage, bank = stage_hashes()
+    stage, bank, stws = stage_hashes()
     print(f"{stage}  run_linear_stage arrays, 6 s default scene")
     print(f"{bank}  far-end taps and degenerate flags, 6 s default scene")
     print(f"{scenes_hash(FAR_END_KINDS, [None] * 4, 100)}  4 far-end scenes")
@@ -146,6 +156,7 @@ def main() -> None:
             print(f"{tree}  criterion-10 tree without report.jsonl, {workers} worker(s)")
             print(f"{report}  criterion-10 report.jsonl, {workers} worker(s)")
         print(f"{triplet_hash(Path(tmp))}  triplet run of the first criterion-10 scene")
+    print(f"{stws}  unweighted masked-reference residual, taps and flags, 6 s default scene")
 
 
 if __name__ == "__main__":

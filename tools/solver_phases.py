@@ -11,7 +11,7 @@ return 1), then on its own pool of one thread per CPU. Each line gives the
 call's chunk count and the median over ROUNDS calls, in ms, of each phase's
 time summed over its calls and threads, and of the wall time:
 
-- weights: the lambda weights, once per call (lambda_weights);
+- weights: each chunk's lambda weights, from its own y (lambda_weights);
 - stack: each chunk's delay stack and y (_chunk_stack);
 - build: the per-frame products of the augmented buffer (_products);
 - window sums: the cumulative and sliding sums along frames (_windowed_sums);
@@ -19,8 +19,8 @@ time summed over its calls and threads, and of the wall time:
 - predict: the prediction and the residual (_residual).
 
 On one thread, the wall time minus the phases is the call's other work: the
-transposes of X, Y and the weights and the copies of each chunk's residual and
-degenerate flags (the call builds no taps, and the tool does not read them). On
+transposes of X and Y and the copies of each chunk's residual and degenerate
+flags (the call builds no taps, and the tool does not read them). On
 the pool, a phase's time above its one-thread figure is time its threads lost
 to each other.
 """
