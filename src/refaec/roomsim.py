@@ -21,7 +21,7 @@ from .nonlinear import NonlinearityKind, apply_nonlinearity
 
 WALL_MARGIN = 0.1
 REF_SHELL_RADII = (0.05, 0.2)
-MIN_SOURCE_MIC_DIST = 0.01
+MIN_SOURCE_MIC_DIST = 0.05
 SPEED_OF_SOUND = 343.0  # m/s
 SPLIT_MS = 50.0  # direct/early part of a talker response, after its onset
 DECAY_FIT_DB = (5.0, 25.0)  # Schroeder-curve span fitted for the decay time
@@ -48,14 +48,11 @@ class RoomSpec:
     t60: float
 
     def __post_init__(self):
-        if not LENGTH_RANGE[0] <= self.length <= LENGTH_RANGE[1]:
-            raise ValueError(f"length {self.length} outside {LENGTH_RANGE}")
-        if not WIDTH_RANGE[0] <= self.width <= WIDTH_RANGE[1]:
-            raise ValueError(f"width {self.width} outside {WIDTH_RANGE}")
-        if not HEIGHT_RANGE[0] <= self.height <= HEIGHT_RANGE[1]:
-            raise ValueError(f"height {self.height} outside {HEIGHT_RANGE}")
-        if not T60_RANGE[0] <= self.t60 <= T60_RANGE[1]:
-            raise ValueError(f"t60 {self.t60} outside {T60_RANGE}")
+        names = ("length", "width", "height", "t60")
+        for name, bounds in zip(names, (LENGTH_RANGE, WIDTH_RANGE, HEIGHT_RANGE, T60_RANGE)):
+            value = getattr(self, name)
+            if not bounds[0] <= value <= bounds[1]:
+                raise ValueError(f"{name} {value} outside {bounds}")
 
     @property
     def dims(self) -> np.ndarray:
@@ -87,19 +84,28 @@ class SceneGeometry:
     ref_mic: tuple[float, float, float]
 
 
-def _point(p) -> np.ndarray:
+def _point(label: str, p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.shape != (3,):
-        raise GeometryError(f"expected a 3-D point, got shape {arr.shape}")
+        raise GeometryError(f"{label}: expected a 3-D point, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GeometryError(f"{label} at {arr} is not finite")
     return arr
 
 
+def _require_apart(points: dict[str, np.ndarray], src: str, mic: str) -> None:
+    apart = float(np.linalg.norm(points[src] - points[mic]))
+    if apart < MIN_SOURCE_MIC_DIST:
+        raise GeometryError(f"{src} and {mic} are {apart:.4f} m apart (< {MIN_SOURCE_MIC_DIST} m)")
+
+
 def validate_geometry(room: RoomSpec, geom: SceneGeometry) -> None:
+    """The placement rule of a scene: finite points inside the wall margin,
+    the reference mic on its shell around the loudspeaker, and every
+    source-microphone pair at least MIN_SOURCE_MIC_DIST apart."""
     points = {
-        "loudspeaker": _point(geom.loudspeaker),
-        "talker": _point(geom.talker),
-        "main_mic": _point(geom.main_mic),
-        "ref_mic": _point(geom.ref_mic),
+        label: _point(label, getattr(geom, label))
+        for label in ("loudspeaker", "talker", "main_mic", "ref_mic")
     }
     for label, p in points.items():
         if np.any(p < WALL_MARGIN) or np.any(p > room.dims - WALL_MARGIN):
@@ -109,10 +115,13 @@ def validate_geometry(room: RoomSpec, geom: SceneGeometry) -> None:
         raise GeometryError(
             f"ref_mic is {shell:.3f} m from the loudspeaker, outside {REF_SHELL_RADII}"
         )
+    for src in ("talker", "loudspeaker"):
+        for mic in ("main_mic", "ref_mic"):
+            _require_apart(points, src, mic)
 
 
 def _image_lattice(
-    room: RoomSpec, src: np.ndarray, mic: np.ndarray, sample_rate: int
+    room: RoomSpec, src, mic, sample_rate: int
 ) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """The mirror images that arrive within the response, independent of the
     wall reflectivity.
@@ -121,6 +130,7 @@ def _image_lattice(
     sample, reflection count and 4*pi*d spreading, in accumulation order.
     """
     _require_sample_rate(sample_rate)
+    src, mic = np.asarray(src, dtype=np.float64), np.asarray(mic, dtype=np.float64)
     dims = room.dims
     direct = float(np.linalg.norm(src - mic))
     c = SPEED_OF_SOUND
@@ -230,41 +240,31 @@ def calibrated_reflectivity(room: RoomSpec, sample_rate: int = DEFAULT_SAMPLE_RA
     return beta
 
 
-def _path_rir(room: RoomSpec, src, mic, sample_rate: int, beta: float) -> np.ndarray:
-    """Response between two points strictly inside the room, accumulated at
-    wall reflectivity beta."""
-    src = _point(src)
-    mic = _point(mic)
-    dims = room.dims
-    if np.any(src <= 0) or np.any(src >= dims) or np.any(mic <= 0) or np.any(mic >= dims):
-        raise GeometryError("source and microphone must lie strictly inside the room")
-    direct = float(np.linalg.norm(src - mic))
-    if direct < MIN_SOURCE_MIC_DIST:
-        raise GeometryError(f"source and microphone are {direct:.4f} m apart (< 1 cm)")
-    return _lattice_rir(*_image_lattice(room, src, mic, sample_rate), beta)
-
-
 def image_method_rir(
-    room: RoomSpec,
-    src,
-    mic,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
+    room: RoomSpec, src, mic, sample_rate: int = DEFAULT_SAMPLE_RATE
 ) -> np.ndarray:
-    """Mirror-image impulse response between two points in the room.
+    """Mirror-image impulse response between two points strictly inside the
+    room and at least MIN_SOURCE_MIC_DIST apart, checked before any work.
 
     Images accumulate at integer sample delays with 1/(4*pi*d) spreading and
     uniform, decay-calibrated wall reflectivity.
     """
-    return _path_rir(room, src, mic, sample_rate, calibrated_reflectivity(room, sample_rate))
+    points = {"source": _point("source", src), "microphone": _point("microphone", mic)}
+    for label, p in points.items():
+        if np.any(p <= 0) or np.any(p >= room.dims):
+            raise GeometryError(f"{label} at {p} is not strictly inside the room")
+    _require_apart(points, "source", "microphone")
+    beta = calibrated_reflectivity(room, sample_rate)
+    return _lattice_rir(*_image_lattice(room, *points.values(), sample_rate), beta)
 
 
 def _scene_rirs(room: RoomSpec, geom: SceneGeometry, sample_rate: int) -> tuple[np.ndarray, ...]:
-    """The scene's four responses, talker and loudspeaker to the main mic,
-    then to the reference mic, each equal to its image_method_rir. The room is
-    calibrated once for all four."""
+    """The four responses of a validated geometry, talker and loudspeaker to
+    the main mic, then to the reference mic, each equal to its
+    image_method_rir. The room is calibrated once for all four."""
     beta = calibrated_reflectivity(room, sample_rate)
     return tuple(
-        _path_rir(room, src, mic, sample_rate, beta)
+        _lattice_rir(*_image_lattice(room, src, mic, sample_rate), beta)
         for mic in (geom.main_mic, geom.ref_mic)
         for src in (geom.talker, geom.loudspeaker)
     )
@@ -356,11 +356,16 @@ def synthesize_scene(
     loudspeaker contribution at both mics, preserving their physical coupling.
     Single-talk inputs (either source silent) skip the mixing and keep unit
     gain, with ser_db recorded as None. seed is only recorded on the Scene:
-    the synthesis draws no random numbers.
+    the synthesis draws no random numbers. The geometry, a finite ser_db and a
+    duration of at least one sample are checked before any acoustic work.
     """
     validate_geometry(room, geom)
+    if ser_db is not None and not np.isfinite(ser_db):
+        raise ValueError(f"ser_db must be finite, got {ser_db}")
     fs = x.sample_rate
-    n = int(round(duration * fs))
+    n = int(round(duration * fs)) if np.isfinite(duration) else 0
+    if n < 1:
+        raise ValueError(f"duration {duration} s must give at least one sample at {fs} Hz")
     v = _fit_length(v, n)
     x = _fit_length(x, n)
     require_one_timeline(v, x)
@@ -428,7 +433,7 @@ def _uniform_point(rng, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def sample_geometry(room: RoomSpec, rng: np.random.Generator) -> SceneGeometry:
     """Random positions: sources anywhere inside the walls, the main mic in
     the central cavity, the reference mic on a hollow shell around the
-    loudspeaker. Resamples until every source/mic pair is separated."""
+    loudspeaker. Resamples until validate_geometry accepts the draw."""
     dims = room.dims
     lo = np.full(3, WALL_MARGIN)
     hi = dims - WALL_MARGIN
@@ -463,12 +468,5 @@ def sample_geometry(room: RoomSpec, rng: np.random.Generator) -> SceneGeometry:
             validate_geometry(room, geom)
         except GeometryError:
             continue
-        pairs = [
-            (speaker, main_mic),
-            (speaker, ref_mic),
-            (talker, main_mic),
-            (talker, ref_mic),
-        ]
-        if all(np.linalg.norm(a - b) >= 0.05 for a, b in pairs):
-            return geom
+        return geom
     raise GeometryError("could not sample a valid geometry in 1000 tries")

@@ -12,7 +12,17 @@ import struct
 import numpy as np
 from scipy.signal import lfilter
 
-from refaec import Spectrogram, StftConfig, TimeSignal, WienerConfig, pipeline
+from refaec import (
+    NonlinearityKind,
+    RoomSpec,
+    SceneGeometry,
+    Spectrogram,
+    StftConfig,
+    TimeSignal,
+    WienerConfig,
+    pipeline,
+    synthesize_scene,
+)
 from refaec.cli import main as cli_main
 from refaec.wavio import write_wav
 
@@ -39,6 +49,15 @@ def random_spectrogram(rng, n_frames, cfg=None, scale=1.0):
     shape = (n_frames, cfg.n_bins)
     data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return Spectrogram(data, cfg)
+
+
+def small_scene(v, x, kind=None, ser=0.0, duration=1.0):
+    """A scene in a fixed 5 x 4 x 3 m room at t60 0.15 s, with one hand-placed
+    geometry that meets the placement rule; identity loudspeaker by default."""
+    room = RoomSpec(5.0, 4.0, 3.0, t60=0.15)
+    geom = SceneGeometry((2.0, 2.0, 1.5), (3.5, 3.0, 1.5), (1.2, 1.1, 1.2), (2.1, 2.0, 1.5))
+    kind = kind or NonlinearityKind("identity")
+    return synthesize_scene(room, geom, v, x, kind, ser, seed=3, duration=duration)
 
 
 def criterion_10_tree(workdir, root, workers=None):

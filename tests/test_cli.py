@@ -129,6 +129,15 @@ def test_rir_rejects_bad_geometry(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rir_rejects_points_closer_than_five_cm(tmp_path, capsys):
+    out = tmp_path / "h.wav"
+    room = ["--room", "5.0", "4.0", "3.0", "--t60", "0.25"]
+    points = ["--src", "1.0", "1.0", "1.0", "--mic", "1.0", "1.0", "1.03"]
+    assert main(["rir", *room, *points, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: source and microphone are 0.0300 m apart (< 0.05 m)\n"
+    assert not out.exists()
+
+
 def test_synth_rejects_counts_below_one(corpora, tmp_path, capsys):
     code = main(
         [

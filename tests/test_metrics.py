@@ -7,12 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_spectrogram, speech_like
+from helpers import random_spectrogram, small_scene, speech_like
 
 from refaec import (
-    NonlinearityKind,
-    RoomSpec,
-    SceneGeometry,
     Spectrogram,
     StftConfig,
     TimeSignal,
@@ -20,7 +17,6 @@ from refaec import (
     ri_mag_loss,
     s_sisnr,
     sdr,
-    synthesize_scene,
 )
 from refaec.metrics import evaluate_estimate, report_record
 
@@ -128,28 +124,22 @@ def test_ri_mag_loss_rejects_spectrograms_on_different_grids(rng, odd):
     assert "\n" not in str(err.value)
 
 
-def _scene(rng, v, x, ser=0.0):
-    room = RoomSpec(5.0, 4.0, 3.0, t60=0.15)
-    geom = SceneGeometry((2.0, 2.0, 1.5), (3.5, 3.0, 1.5), (1.2, 1.1, 1.2), (2.1, 2.0, 1.5))
-    return synthesize_scene(room, geom, v, x, NonlinearityKind("identity"), ser, duration=1.0)
-
-
 def test_evaluate_scene_scenarios(rng):
     v = speech_like(rng, FS)
     x = speech_like(rng, FS)
     silent = TimeSignal(np.zeros(FS))
 
-    st_fe = _scene(rng, silent, x)
+    st_fe = small_scene(silent, x)
     report = evaluate_estimate("ST_FE", st_fe.y, st_fe.s_direct, TimeSignal(np.zeros(FS)))
     assert report.erle_db == 100.0
     assert report.sdr_db is None
 
-    dt = _scene(rng, v, x)
+    dt = small_scene(v, x)
     report = evaluate_estimate("DT", dt.y, dt.s_direct, dt.s_direct)
     assert report.sdr_db == 100.0
     assert report.ri_mag_loss == pytest.approx(0.0, abs=1e-9)
 
-    st_ne = _scene(rng, v, silent)
+    st_ne = small_scene(v, silent)
     report = evaluate_estimate("ST_NE", st_ne.y, st_ne.s_direct, st_ne.y)
     assert report.sdr_db == pytest.approx(sdr(st_ne.s_direct, st_ne.s), rel=1e-12)
 
@@ -160,7 +150,7 @@ def test_evaluate_scene_scenarios(rng):
 def test_report_record_fields(rng):
     v = speech_like(rng, FS)
     x = speech_like(rng, FS)
-    scene = _scene(rng, v, x)
+    scene = small_scene(v, x)
     report = evaluate_estimate("DT", scene.y, scene.s_direct, scene.y)
     record = report_record(report, "scene_000003")
     assert list(record.keys()) == [

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import image_source_rir, schroeder_t60, speech_like
+from helpers import image_source_rir, schroeder_t60, small_scene, speech_like
 from scipy.signal import fftconvolve
 
 from refaec import (
@@ -117,7 +117,10 @@ def test_scene_rirs_equal_image_method_rirs(rng):
         assert np.array_equal(h, image_method_rir(room, src, mic, FS))
 
 
-def test_scene_calibrates_its_room_once(rng, monkeypatch):
+@pytest.fixture
+def calibrations(monkeypatch):
+    """The (room, sample_rate) of each calibrated_reflectivity call that
+    roomsim makes during the test."""
     calls = []
 
     def counted(room, sample_rate=FS):
@@ -125,16 +128,27 @@ def test_scene_calibrates_its_room_once(rng, monkeypatch):
         return calibrated_reflectivity(room, sample_rate)
 
     monkeypatch.setattr(roomsim, "calibrated_reflectivity", counted)
-    scene = _small_scene(rng, speech_like(rng, FS), speech_like(rng, FS))
-    assert calls == [(scene.room, FS)]
+    return calls
 
 
-def test_rir_geometry_errors():
+def test_scene_calibrates_its_room_once(rng, calibrations):
+    scene = small_scene(speech_like(rng, FS), speech_like(rng, FS))
+    assert calibrations == [(scene.room, FS)]
+
+
+def test_rir_geometry_errors(calibrations):
     room = RoomSpec(5.0, 4.0, 3.0, t60=0.3)
-    with pytest.raises(GeometryError):
-        image_method_rir(room, (1.0, 1.0, 1.0), (1.0, 1.0, 1.005), FS)
-    with pytest.raises(GeometryError):
-        image_method_rir(room, (-1.0, 1.0, 1.0), (3.0, 2.0, 1.5), FS)
+    cases = [
+        ((1.0, 1.0, 1.0), (1.0, 1.0, 1.005), "^source and microphone are 0.0050 m apart"),
+        ((1.0, 1.0, 1.0), (1.0, 1.0, 1.03), "^source and microphone are 0.0300 m apart"),
+        ((-1.0, 1.0, 1.0), (3.0, 2.0, 1.5), "^source at .* is not strictly inside the room$"),
+        ((1.0, 1.0, 1.0), (3.0, float("nan"), 1.5), "^microphone at .* is not finite$"),
+    ]
+    for src, mic, message in cases:
+        with pytest.raises(GeometryError, match=message) as err:
+            image_method_rir(room, src, mic, FS)
+        assert "\n" not in str(err.value)
+    assert calibrations == []
 
 
 def test_rir_direct_delay_across_random_rooms(rng):
@@ -160,6 +174,17 @@ def test_validate_geometry_rules():
             room,
             SceneGeometry((2.0, 2.0, 1.5), (3.5, 3.0, 1.5), (1.0, 1.0, 1.2), (2.5, 2.0, 1.5)),
         )
+    with pytest.raises(GeometryError, match="^talker and main_mic are 0.0300 m apart"):
+        validate_geometry(
+            room,
+            SceneGeometry((2.0, 2.0, 1.5), (1.0, 1.0, 1.23), (1.0, 1.0, 1.2), (2.1, 2.0, 1.5)),
+        )
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(GeometryError, match=r"^loudspeaker at \[.*\] is not finite$"):
+            validate_geometry(
+                room,
+                SceneGeometry((bad, 2.0, 1.5), (3.5, 3.0, 1.5), (1.0, 1.0, 1.2), (2.1, 2.0, 1.5)),
+            )
 
 
 def test_sampled_geometry_respects_invariants(rng):
@@ -208,17 +233,10 @@ def test_split_direct_zero_split_keeps_only_direct_tap(rng):
     assert np.any(s_reverb.samples != 0)
 
 
-def _small_scene(rng, v, x, kind=None, ser=0.0, duration=1.0):
-    room = RoomSpec(5.0, 4.0, 3.0, t60=0.15)
-    geom = SceneGeometry((2.0, 2.0, 1.5), (3.5, 3.0, 1.5), (1.2, 1.1, 1.2), (2.1, 2.0, 1.5))
-    kind = kind or NonlinearityKind("identity")
-    return synthesize_scene(room, geom, v, x, kind, ser, seed=3, duration=duration)
-
-
 def test_scene_far_end_single_talk(rng):
     x = speech_like(rng, FS)
     silent = TimeSignal(np.zeros(FS))
-    scene = _small_scene(rng, silent, x)
+    scene = small_scene(silent, x)
     assert scene.echo_gain == 1.0
     assert scene.ser_db is None
     assert np.array_equal(scene.y.samples, scene.d.samples)
@@ -229,7 +247,7 @@ def test_scene_far_end_single_talk(rng):
 def test_scene_near_end_single_talk(rng):
     v = speech_like(rng, FS)
     silent = TimeSignal(np.zeros(FS))
-    scene = _small_scene(rng, v, silent)
+    scene = small_scene(v, silent)
     assert np.array_equal(scene.y.samples, scene.s.samples)
     assert np.array_equal(scene.r.samples, scene.r_near.samples)
     assert np.all(scene.d.samples == 0)
@@ -241,9 +259,9 @@ def test_scene_zero_energy_source_keeps_unit_gain(rng):
     speech = speech_like(rng, FS)
     silent = TimeSignal(np.zeros(FS))
     for v, x in ((silent, speech), (speech, silent)):
-        plain = _small_scene(rng, v, x, ser=None)
+        plain = small_scene(v, x, ser=None)
         for ser in (0.0, 10.0):
-            scene = _small_scene(rng, v, x, ser=ser)
+            scene = small_scene(v, x, ser=ser)
             assert scene.echo_gain == 1.0
             assert scene.ser_db is None
             for name in ("d", "y", "r_far", "r"):
@@ -264,15 +282,15 @@ def test_ser_gain_energies(rng):
 def test_double_talk_scene_mixes_the_scaled_echo(rng):
     v = speech_like(rng, FS)
     x = speech_like(rng, FS)
-    unit = _small_scene(rng, TimeSignal(np.zeros(FS)), x)  # single talk keeps unit gain
-    scene = _small_scene(rng, v, x, ser=0.0)
+    unit = small_scene(TimeSignal(np.zeros(FS)), x)  # single talk keeps unit gain
+    scene = small_scene(v, x, ser=0.0)
     g0 = scene.echo_gain
     assert scene.s.energy() / (g0**2 * unit.d.energy()) == pytest.approx(1.0, rel=1e-9)
     assert np.array_equal(scene.d.samples, g0 * unit.d.samples)
     assert np.array_equal(scene.y.samples, scene.s.samples + g0 * unit.d.samples)
-    g10 = _small_scene(rng, v, x, ser=10.0).echo_gain
+    g10 = small_scene(v, x, ser=10.0).echo_gain
     assert scene.s.energy() / (g10**2 * unit.d.energy()) == pytest.approx(10.0, rel=1e-9)
-    assert _small_scene(rng, v, x, ser=-10.0).echo_gain / g10 == pytest.approx(10.0, rel=1e-9)
+    assert small_scene(v, x, ser=-10.0).echo_gain / g10 == pytest.approx(10.0, rel=1e-9)
 
 
 _SCENE_SIGNALS = ("x", "x_nl", "v", "s", "s_direct", "s_reverb", "d", "y", "r", "r_far", "r_near")
@@ -314,7 +332,7 @@ def test_single_talk_skips_silent_convolutions_bit_for_bit(
 def test_scene_additivity_and_ser(rng):
     v = speech_like(rng, FS)
     x = speech_like(rng, FS)
-    scene = _small_scene(rng, v, x, ser=-4.0)
+    scene = small_scene(v, x, ser=-4.0)
     assert np.array_equal(scene.y.samples, scene.s.samples + scene.d.samples)
     assert np.array_equal(scene.r.samples, scene.r_near.samples + scene.r_far.samples)
     assert np.array_equal(scene.s.samples, scene.s_direct.samples + scene.s_reverb.samples)
@@ -325,8 +343,8 @@ def test_scene_additivity_and_ser(rng):
 def test_scene_determinism(rng):
     v = speech_like(rng, FS)
     x = speech_like(rng, FS)
-    a = _small_scene(rng, v, x, ser=2.0)
-    b = _small_scene(rng, v, x, ser=2.0)
+    a = small_scene(v, x, ser=2.0)
+    b = small_scene(v, x, ser=2.0)
     assert np.array_equal(a.y.samples, b.y.samples)
     assert np.array_equal(a.r.samples, b.r.samples)
     assert np.array_equal(a.rir_speaker_ref, b.rir_speaker_ref)
@@ -335,7 +353,7 @@ def test_scene_determinism(rng):
 def test_scene_nonlinearity_is_applied(rng):
     x = speech_like(rng, FS)
     silent = TimeSignal(np.zeros(FS))
-    scene = _small_scene(rng, silent, x, kind=NonlinearityKind("hard_clip_sigmoid"))
+    scene = small_scene(silent, x, kind=NonlinearityKind("hard_clip_sigmoid"))
     assert not np.array_equal(scene.x_nl.samples, scene.x.samples)
     assert np.max(np.abs(scene.x_nl.samples)) < 1.0
 
@@ -355,13 +373,37 @@ def test_reference_mic_sees_stronger_far_to_near_ratio(rng):
     assert ratio_ref > ratio_main
 
 
-def test_geometry_error_raised_before_synthesis(rng):
+def test_geometry_error_raised_before_synthesis(rng, calibrations):
     v = speech_like(rng, FS)
     x = speech_like(rng, FS)
     room = RoomSpec(5.0, 4.0, 3.0, t60=0.2)
-    bad = SceneGeometry((2.0, 2.0, 1.5), (3.5, 3.0, 1.5), (1.2, 1.1, 1.2), (2.9, 2.0, 1.5))
-    with pytest.raises(GeometryError):
-        synthesize_scene(room, bad, v, x, NonlinearityKind("identity"), 0.0)
+    speaker, main_mic = (2.0, 2.0, 1.5), (1.2, 1.1, 1.2)
+    wide_shell = SceneGeometry(speaker, (3.5, 3.0, 1.5), main_mic, (2.9, 2.0, 1.5))
+    close_talker = SceneGeometry(speaker, (1.2, 1.1, 1.23), main_mic, (2.1, 2.0, 1.5))  # 3 cm
+    for bad in (wide_shell, close_talker):
+        with pytest.raises(GeometryError):
+            synthesize_scene(room, bad, v, x, NonlinearityKind("identity"), 0.0)
+    assert calibrations == []
+
+
+@pytest.mark.parametrize(
+    "ser, duration, message",
+    [
+        (float("nan"), 1.0, "ser_db must be finite, got nan"),
+        (float("inf"), 1.0, "ser_db must be finite, got inf"),
+        (0.0, 0.0, "duration 0.0 s must give at least one sample at 16000 Hz"),
+        (0.0, -1.0, "duration -1.0 s must give at least one sample at 16000 Hz"),
+        (0.0, 1e-5, "duration 1e-05 s must give at least one sample at 16000 Hz"),
+        (0.0, float("nan"), "duration nan s must give at least one sample at 16000 Hz"),
+    ],
+    ids=["nan_ser", "inf_ser", "zero_duration", "negative_duration", "sub_sample", "nan_duration"],
+)
+def test_scene_rejects_scalars_before_synthesis(rng, calibrations, ser, duration, message):
+    v = speech_like(rng, FS)
+    x = speech_like(rng, FS)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        small_scene(v, x, ser=ser, duration=duration)
+    assert calibrations == []
 
 
 def test_scene_rejects_sources_at_different_sample_rates(rng):
@@ -371,7 +413,7 @@ def test_scene_rejects_sources_at_different_sample_rates(rng):
         "16000 samples at 8000 Hz vs 16000 samples at 16000 Hz"
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _small_scene(rng, v, speech_like(rng, FS))
+        small_scene(v, speech_like(rng, FS))
 
 
 def test_room_spec_validation():
@@ -445,5 +487,5 @@ def test_single_talk_synthesis_takes_no_energies(rng, monkeypatch):
 
     monkeypatch.setattr(roomsim, "pairwise_dot", refuse)
     monkeypatch.setattr(dsp, "pairwise_dot", refuse)
-    scene = _small_scene(rng, speech_like(rng, FS), speech_like(rng, FS), ser=None)
+    scene = small_scene(speech_like(rng, FS), speech_like(rng, FS), ser=None)
     assert scene.echo_gain == 1.0

@@ -20,7 +20,9 @@ output bit in that group. The groups are:
   on the first scene of that tree;
 - the residual, taps and degenerate flags of the 6 s scene's unweighted
   canceller, wstws_cancel(Y, R_m, stws_config(RunConfig().wiener_main)), with
-  the stage's masked reference R_m.
+  the stage's masked reference R_m;
+- image_method_rir on RIR_PATHS, fixed rooms from t60 0.1 to 0.8 s, and the
+  WAV file that `refaec rir --seed 0` writes.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ DOUBLE_TALK_KINDS = (
     NonlinearityKind("hard_clip_sigmoid"),
 )
 DOUBLE_TALK_SER_DB = (-10.0, -3.0, 0.0, 7.0)
+# (room, source, microphone): a short path, one across the room, one grazing
+# the walls, and one 6 cm long, just over the 5 cm that the placement rule asks
+RIR_PATHS = (
+    (refaec.RoomSpec(4.0, 3.0, 3.0, t60=0.1), (1.0, 1.2, 1.5), (1.6, 1.5, 1.4)),
+    (refaec.RoomSpec(6.0, 5.0, 3.0, t60=0.3), (0.5, 0.6, 1.2), (5.3, 4.1, 1.8)),
+    (refaec.RoomSpec(7.5, 6.5, 4.5, t60=0.55), (0.01, 6.49, 0.02), (7.49, 0.01, 4.48)),
+    (refaec.RoomSpec(8.0, 7.0, 5.0, t60=0.8), (2.0, 2.0, 1.5), (2.0, 2.06, 1.5)),
+)
 
 
 def _digest(arrays) -> str:
@@ -144,6 +154,20 @@ def triplet_hash(workdir: Path) -> str:
     return _file_tree(out)
 
 
+def rir_hash() -> str:
+    """The hash of the responses on RIR_PATHS and of the bytes of the WAV file
+    that `refaec rir` writes for a 6 x 5 x 3 m room at t60 0.3 s, seed 0."""
+    arrays = [refaec.image_method_rir(room, src, mic, FS) for room, src, mic in RIR_PATHS]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "rir.wav"
+        room = ["--room", "6", "5", "3", "--t60", "0.3"]
+        code = cli_main(["rir", *room, "--seed", "0", "--out", str(out)])
+        if code != 0:
+            sys.exit(f"error: refaec rir exited {code}")
+        arrays.append(np.frombuffer(out.read_bytes(), dtype=np.uint8))
+    return _digest(arrays)
+
+
 def main() -> None:
     stage, bank, stws = stage_hashes()
     print(f"{stage}  run_linear_stage arrays, 6 s default scene")
@@ -157,6 +181,7 @@ def main() -> None:
             print(f"{report}  criterion-10 report.jsonl, {workers} worker(s)")
         print(f"{triplet_hash(Path(tmp))}  triplet run of the first criterion-10 scene")
     print(f"{stws}  unweighted masked-reference residual, taps and flags, 6 s default scene")
+    print(f"{rir_hash()}  image_method_rir on 4 fixed paths and a `refaec rir` WAV")
 
 
 if __name__ == "__main__":
