@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE, TimeSignal
+from .dsp import TimeSignal
 from .pipeline import (
     RunConfig,
     _run_scene,
@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rir.add_argument("--t60", type=float, required=True)
     p_rir.add_argument("--src", type=float, nargs=3, metavar=("X", "Y", "Z"))
     p_rir.add_argument("--mic", type=float, nargs=3, metavar=("X", "Y", "Z"))
-    p_rir.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
     p_rir.add_argument("--seed", type=int, default=0)
     p_rir.add_argument("--out", required=True)
 
@@ -140,8 +139,7 @@ def _cmd_rir(args) -> int:
         geom = sample_geometry(room, rng)
         src = args.src or geom.loudspeaker
         mic = args.mic or geom.main_mic
-    h = image_method_rir(room, src, mic, args.sample_rate)
-    write_wav(args.out, TimeSignal(h, args.sample_rate))
+    write_wav(args.out, TimeSignal(image_method_rir(room, src, mic)))
     return 0
 
 

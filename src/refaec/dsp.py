@@ -9,7 +9,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal.windows import hamming
 
-DEFAULT_SAMPLE_RATE = 16000
+# The toolkit's only sample rate, in Hz: wavio.read_wav refuses a file at any
+# other rate, so no container carries one.
+SAMPLE_RATE = 16000
 
 _OLA_FLOOR = 1e-12
 
@@ -31,12 +33,6 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_sample_rate(rate) -> None:
-    require_int("sample_rate", rate)
-    if rate <= 0:
-        raise ValueError(f"sample_rate must be positive, got {rate}")
-
-
 def _as_mono_float(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1:
@@ -46,14 +42,12 @@ def _as_mono_float(samples) -> np.ndarray:
 
 @dataclass(eq=False)
 class TimeSignal:
-    """Mono sampled waveform; amplitudes are dimensionless, nominally in [-1, 1]."""
+    """Mono waveform at SAMPLE_RATE; amplitudes are dimensionless, nominally in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = _as_mono_float(self.samples)
-        _require_sample_rate(self.sample_rate)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal contains non-finite samples")
 
@@ -101,10 +95,8 @@ class Spectrogram:
 
     data: np.ndarray
     config: StftConfig
-    sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        _require_sample_rate(self.sample_rate)
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 2 or len(self.data) == 0:
             raise ValueError(f"spectrogram must be 2-D with frames, got shape {self.data.shape}")
@@ -124,26 +116,26 @@ class Spectrogram:
         return self.data.shape[1]
 
     def like(self, data: np.ndarray) -> "Spectrogram":
-        """New spectrogram sharing this one's config and sample rate."""
-        return Spectrogram(data, self.config, self.sample_rate)
+        """New spectrogram sharing this one's config."""
+        return Spectrogram(data, self.config)
 
 
 def require_one_grid(*specs: Spectrogram) -> None:
     """Raise a one-line ValueError naming every grid unless all the
-    spectrograms share one shape, STFT config and sample rate."""
-    grids = [(s.data.shape, s.config, s.sample_rate) for s in specs]
+    spectrograms share one shape and STFT config."""
+    grids = [(s.data.shape, s.config) for s in specs]
     if len(set(grids)) > 1:
-        named = " vs ".join(f"{shape} {cfg} at {rate} Hz" for shape, cfg, rate in grids)
+        named = " vs ".join(f"{shape} {cfg}" for shape, cfg in grids)
         raise ValueError(f"spectrograms disagree on shape or grid: {named}")
 
 
-def require_one_timeline(*signals: TimeSignal) -> None:
-    """Raise a one-line ValueError naming every signal's sample count and
-    rate unless all the signals share one length and sample rate."""
-    timelines = [(len(s), s.sample_rate) for s in signals]
-    if len(set(timelines)) > 1:
-        named = " vs ".join(f"{n} samples at {rate} Hz" for n, rate in timelines)
-        raise ValueError(f"signals differ in length or sample rate: {named}")
+def require_one_length(*signals: TimeSignal) -> None:
+    """Raise a one-line ValueError naming every signal's sample count unless
+    all the signals share one length."""
+    lengths = [len(s) for s in signals]
+    if len(set(lengths)) > 1:
+        named = " vs ".join(f"{n} samples" for n in lengths)
+        raise ValueError(f"signals differ in length: {named}")
 
 
 def stft_forward(sig: TimeSignal, cfg: StftConfig | None = None) -> Spectrogram:
@@ -157,7 +149,7 @@ def stft_forward(sig: TimeSignal, cfg: StftConfig | None = None) -> Spectrogram:
     n_frames = cfg.n_frames(len(sig))
     frames = sliding_window_view(sig.samples, cfg.window_len)[:: cfg.hop][:n_frames]
     spec = np.fft.rfft(frames * cfg.analysis_window(), axis=1)
-    return Spectrogram(spec, cfg, sig.sample_rate)
+    return Spectrogram(spec, cfg)
 
 
 def stft_inverse(spec: Spectrogram) -> TimeSignal:
@@ -187,5 +179,5 @@ def stft_inverse(spec: Spectrogram) -> TimeSignal:
         den[j : j + n_frames, :width] += win_sq[lo : lo + width]
     num = num.reshape(-1)[:out_len]
     den = den.reshape(-1)[:out_len]
-    return TimeSignal(num / np.maximum(den, _OLA_FLOOR), spec.sample_rate)
+    return TimeSignal(num / np.maximum(den, _OLA_FLOOR))
 

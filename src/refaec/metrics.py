@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dsp import Spectrogram, StftConfig, TimeSignal, pairwise_dot, stft_forward
-from .dsp import require_one_grid, require_one_timeline
+from .dsp import require_one_grid, require_one_length
 
 ENERGY_FLOOR = 1e-12
 DB_CAP = 100.0
@@ -40,14 +40,14 @@ def _log_ratio_db(num: float, den: float) -> float:
 
 def erle(y: TimeSignal, e: TimeSignal) -> float:
     """Echo reduction in dB: pre-cancellation mic signal y against residual e."""
-    require_one_timeline(y, e)
+    require_one_length(y, e)
     return _log_ratio_db(y.energy(), e.energy())
 
 
 def sdr(target: TimeSignal, estimate: TimeSignal) -> float:
     """Plain signal-to-distortion ratio in dB, no scaling projection or
     distortion filter."""
-    require_one_timeline(target, estimate)
+    require_one_length(target, estimate)
     err = target.samples - estimate.samples
     return _log_ratio_db(target.energy(), pairwise_dot(err, err))
 
@@ -58,7 +58,7 @@ def s_sisnr(target: TimeSignal, estimate: TimeSignal) -> float:
 
     Positive scaling of either argument leaves the value unchanged.
     """
-    require_one_timeline(target, estimate)
+    require_one_length(target, estimate)
     t = target.samples - np.mean(target.samples)
     e = estimate.samples - np.mean(estimate.samples)
     nt = np.sqrt(pairwise_dot(t, t))
@@ -81,7 +81,7 @@ def _compress(data: np.ndarray, p: float) -> np.ndarray:
 def ri_mag_loss(S: Spectrogram, S_hat: Spectrogram) -> float:
     """Power-law-compressed complex difference plus compressed magnitude
     difference, summed over all T-F units, at power RI_MAG_POWER. Both
-    spectrograms must share one shape, STFT config and sample rate."""
+    spectrograms must share one shape and STFT config."""
     require_one_grid(S, S_hat)
     p = RI_MAG_POWER
     comp = _compress(S.data, p)

@@ -111,7 +111,7 @@ def distort(x, kind: NonlinearityKind):
 
 def apply_nonlinearity(sig: TimeSignal, kind: NonlinearityKind) -> TimeSignal:
     """Sample-wise distortion of a waveform; identity passes bits through."""
-    return TimeSignal(distort(sig.samples, kind), sig.sample_rate)
+    return TimeSignal(distort(sig.samples, kind))
 
 
 def sample_kind(rng: np.random.Generator, matched: bool = True) -> NonlinearityKind:

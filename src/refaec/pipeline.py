@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import (
-    DEFAULT_SAMPLE_RATE,
+    SAMPLE_RATE,
     Spectrogram,
     StftConfig,
     TimeSignal,
     require_one_grid,
-    require_one_timeline,
+    require_one_length,
     stft_forward,
     stft_inverse,
 )
@@ -67,7 +67,7 @@ class FeatureBundle:
     far-end, mic, reference, masked reference, and the three cancellation
     residuals (mic vs far-end, mic vs reference, mic vs masked reference).
     The fields are exactly these seven signals, in the order of an exported
-    file, and they share one shape, STFT config and sample rate."""
+    file, and they share one shape and STFT config."""
 
     far: Spectrogram
     mic: Spectrogram
@@ -100,11 +100,7 @@ def run_linear_stage(
     """Purify the reference, then cancel the mic signal against the far-end, raw reference
     and purified reference, strictly frame-online; returns the seven-signal feature bundle."""
     cfg = cfg or RunConfig()
-    require_one_timeline(y, x, r)
-    if y.sample_rate != DEFAULT_SAMPLE_RATE:
-        raise ValueError(
-            f"the linear stage runs at {DEFAULT_SAMPLE_RATE} Hz, got {y.sample_rate} Hz"
-        )
+    require_one_length(y, x, r)
 
     Y = stft_forward(y, cfg.stft)
     X = stft_forward(x, cfg.stft)
@@ -219,17 +215,14 @@ def _scene_rng(base_seed: int, index: int) -> np.random.Generator:
 
 
 def _load_corpus_clip(path, rng: np.random.Generator, n: int) -> TimeSignal:
-    sig = read_wav(path)
-    if sig.sample_rate != DEFAULT_SAMPLE_RATE:
-        raise ValueError(f"{path}: expected {DEFAULT_SAMPLE_RATE} Hz, got {sig.sample_rate}")
-    x = sig.samples
+    x = read_wav(path).samples
     if len(x) > n:
         offset = int(rng.integers(0, len(x) - n + 1))
         x = x[offset : offset + n]
     peak = np.max(np.abs(x))
     if peak > 0:
         x = x * (CORPUS_PEAK / peak)
-    return TimeSignal(x, DEFAULT_SAMPLE_RATE)
+    return TimeSignal(x)
 
 
 def _list_corpus(directory) -> list[Path]:
@@ -249,7 +242,7 @@ def _synth_scene(index: int, *, seed, matched, out, near_files, far_files, durat
     ser_db = int(SER_GRID_DB[rng.integers(len(SER_GRID_DB))])
     near_path = near_files[rng.integers(len(near_files))]
     far_path = far_files[rng.integers(len(far_files))]
-    n = int(round(duration * DEFAULT_SAMPLE_RATE))
+    n = int(round(duration * SAMPLE_RATE))
     v = _load_corpus_clip(near_path, rng, n)
     x = _load_corpus_clip(far_path, rng, n)
 
@@ -273,7 +266,7 @@ def _synth_scene(index: int, *, seed, matched, out, near_files, far_files, durat
         "echo_gain": scene.echo_gain,
         "scenario": "DT",
         "duration": duration,
-        "sample_rate": DEFAULT_SAMPLE_RATE,
+        "sample_rate": SAMPLE_RATE,
         "corpus": {"near": near_path.name, "far": far_path.name},
     }
 
@@ -288,7 +281,7 @@ def synth_dataset(
     duration: float = DEFAULT_DURATION,
 ) -> Path:
     """Synthesize `count` double-talk scenes from corpus clips at
-    DEFAULT_SAMPLE_RATE and write waveforms plus a manifest. Every scene is
+    SAMPLE_RATE and write waveforms plus a manifest. Every scene is
     reproducible from the base seed and its index, so reruns are
     byte-identical."""
     if count < 1:
@@ -375,16 +368,10 @@ def eval_dataset(manifest_path, estimates_dir, report_path) -> list[dict]:
         y = read_wav(root / rec["files"]["y"])
         s_direct = read_wav(root / rec["files"]["sd"])
         estimate = read_wav(est_path)
-        if estimate.sample_rate != y.sample_rate:
-            raise ValueError(
-                f"estimate {est_path} at {estimate.sample_rate} Hz, scene at {y.sample_rate} Hz"
-            )
         n = min(len(y), len(estimate))
         report = evaluate_estimate(
             rec["scenario"],
-            TimeSignal(y.samples[:n], y.sample_rate),
-            TimeSignal(s_direct.samples[:n], s_direct.sample_rate),
-            TimeSignal(estimate.samples[:n], estimate.sample_rate),
+            *(TimeSignal(sig.samples[:n]) for sig in (y, s_direct, estimate)),
         )
         rows.append(report_record(report, scene_id))
     report_path = Path(report_path)

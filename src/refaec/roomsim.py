@@ -10,13 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dsp import (
-    DEFAULT_SAMPLE_RATE,
-    TimeSignal,
-    _require_sample_rate,
-    pairwise_dot,
-    require_one_timeline,
-)
+from .dsp import SAMPLE_RATE, TimeSignal, pairwise_dot
 from .nonlinear import NonlinearityKind, apply_nonlinearity
 
 WALL_MARGIN = 0.1
@@ -69,9 +63,9 @@ class RoomSpec:
         absorption = 1.0 - np.exp(-sabine_const * volume / (surface * self.t60))
         return float(np.sqrt(1.0 - absorption))
 
-    def rir_samples(self, sample_rate: int) -> int:
+    def rir_samples(self) -> int:
         """Impulse-response length, 1.2 * t60 worth of samples."""
-        return int(np.ceil(1.2 * self.t60 * sample_rate))
+        return int(np.ceil(1.2 * self.t60 * SAMPLE_RATE))
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,7 @@ def validate_geometry(room: RoomSpec, geom: SceneGeometry) -> None:
 
 
 def _image_lattice(
-    room: RoomSpec, src, mic, sample_rate: int
+    room: RoomSpec, src, mic
 ) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """The mirror images that arrive within the response, independent of the
     wall reflectivity.
@@ -129,13 +123,12 @@ def _image_lattice(
     Returns the response length and, per source parity, each image's arrival
     sample, reflection count and 4*pi*d spreading, in accumulation order.
     """
-    _require_sample_rate(sample_rate)
     src, mic = np.asarray(src, dtype=np.float64), np.asarray(mic, dtype=np.float64)
     dims = room.dims
     direct = float(np.linalg.norm(src - mic))
     c = SPEED_OF_SOUND
-    n_samples = max(room.rir_samples(sample_rate), int(round(direct / c * sample_rate)) + 1)
-    reach = n_samples / sample_rate * c
+    n_samples = max(room.rir_samples(), int(round(direct / c * SAMPLE_RATE)) + 1)
+    reach = n_samples / SAMPLE_RATE * c
 
     images = []
     max_n = np.ceil(reach / (2.0 * dims)).astype(int)
@@ -167,7 +160,7 @@ def _image_lattice(
                 dist_k = dist[keep]
                 del dist
                 # int32 delays and int16 counts keep the lattice compact
-                idx = np.round(dist_k / c * sample_rate).astype(np.int32)
+                idx = np.round(dist_k / c * SAMPLE_RATE).astype(np.int32)
                 valid = idx < n_samples
                 if valid.any():
                     images.append(
@@ -195,14 +188,14 @@ def schroeder_decay_db(rir: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(edc, 1e-300))
 
 
-def measured_decay_time(rir: np.ndarray, sample_rate: int) -> float:
+def measured_decay_time(rir: np.ndarray) -> float:
     """Decay time to -60 dB from a line fit over the DECAY_FIT_DB drop span of
     the Schroeder curve. Returns NaN when the span is too short to fit."""
     db = schroeder_decay_db(rir)
     i_lo, i_hi = (int(np.searchsorted(-db, drop)) for drop in DECAY_FIT_DB)
     if i_hi - i_lo < 8:
         return float("nan")
-    t = np.arange(len(rir)) / sample_rate
+    t = np.arange(len(rir)) / SAMPLE_RATE
     slope, _ = np.polyfit(t[i_lo:i_hi], db[i_lo:i_hi], 1)
     if slope >= 0:
         return float("nan")
@@ -215,7 +208,7 @@ def _calibration_path(room: RoomSpec) -> tuple[np.ndarray, np.ndarray]:
     return src, mic
 
 
-def calibrated_reflectivity(room: RoomSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> float:
+def calibrated_reflectivity(room: RoomSpec) -> float:
     """Uniform wall reflectivity whose simulated Schroeder decay hits the
     room's target t60.
 
@@ -225,11 +218,11 @@ def calibrated_reflectivity(room: RoomSpec, sample_rate: int = DEFAULT_SAMPLE_RA
     rescaling the log-reflectivity until the measured decay matches.
     """
     # the trials differ only in beta, so the image lattice is built once
-    n_samples, images = _image_lattice(room, *_calibration_path(room), sample_rate)
+    n_samples, images = _image_lattice(room, *_calibration_path(room))
     beta = room.eyring_reflectivity()
     for _ in range(4):
         trial = _lattice_rir(n_samples, images, beta)
-        measured = measured_decay_time(trial, sample_rate)
+        measured = measured_decay_time(trial)
         if not np.isfinite(measured):
             break
         ratio = measured / room.t60
@@ -240,9 +233,7 @@ def calibrated_reflectivity(room: RoomSpec, sample_rate: int = DEFAULT_SAMPLE_RA
     return beta
 
 
-def image_method_rir(
-    room: RoomSpec, src, mic, sample_rate: int = DEFAULT_SAMPLE_RATE
-) -> np.ndarray:
+def image_method_rir(room: RoomSpec, src, mic) -> np.ndarray:
     """Mirror-image impulse response between two points strictly inside the
     room and at least MIN_SOURCE_MIC_DIST apart, checked before any work.
 
@@ -254,17 +245,17 @@ def image_method_rir(
         if np.any(p <= 0) or np.any(p >= room.dims):
             raise GeometryError(f"{label} at {p} is not strictly inside the room")
     _require_apart(points, "source", "microphone")
-    beta = calibrated_reflectivity(room, sample_rate)
-    return _lattice_rir(*_image_lattice(room, *points.values(), sample_rate), beta)
+    beta = calibrated_reflectivity(room)
+    return _lattice_rir(*_image_lattice(room, *points.values()), beta)
 
 
-def _scene_rirs(room: RoomSpec, geom: SceneGeometry, sample_rate: int) -> tuple[np.ndarray, ...]:
+def _scene_rirs(room: RoomSpec, geom: SceneGeometry) -> tuple[np.ndarray, ...]:
     """The four responses of a validated geometry, talker and loudspeaker to
     the main mic, then to the reference mic, each equal to its
     image_method_rir. The room is calibrated once for all four."""
-    beta = calibrated_reflectivity(room, sample_rate)
+    beta = calibrated_reflectivity(room)
     return tuple(
-        _lattice_rir(*_image_lattice(room, src, mic, sample_rate), beta)
+        _lattice_rir(*_image_lattice(room, src, mic), beta)
         for mic in (geom.main_mic, geom.ref_mic)
         for src in (geom.talker, geom.loudspeaker)
     )
@@ -288,16 +279,15 @@ def split_direct(v: TimeSignal, rir: np.ndarray) -> tuple[TimeSignal, TimeSignal
     rir = np.asarray(rir, dtype=np.float64)
     nonzero = np.flatnonzero(rir)
     if nonzero.size == 0:
-        zero = TimeSignal(np.zeros(len(v)), v.sample_rate)
-        return zero, TimeSignal(np.zeros(len(v)), v.sample_rate)
+        return TimeSignal(np.zeros(len(v))), TimeSignal(np.zeros(len(v)))
     onset = nonzero[0]
-    cut = min(len(rir), onset + int(round(SPLIT_MS * v.sample_rate / 1000.0)) + 1)
+    cut = min(len(rir), onset + int(round(SPLIT_MS * SAMPLE_RATE / 1000.0)) + 1)
     early = rir.copy()
     early[cut:] = 0.0
     late = rir - early
     s_direct = _convolve(v.samples, early, len(v))
     s_late = _convolve(v.samples, late, len(v))
-    return TimeSignal(s_direct, v.sample_rate), TimeSignal(s_late, v.sample_rate)
+    return TimeSignal(s_direct), TimeSignal(s_late)
 
 
 def _ser_gain(es: float, ed: float, ser_db: float) -> float:
@@ -336,8 +326,8 @@ class Scene:
 def _fit_length(sig: TimeSignal, n: int) -> TimeSignal:
     x = sig.samples
     if len(x) >= n:
-        return TimeSignal(x[:n], sig.sample_rate)
-    return TimeSignal(np.concatenate([x, np.zeros(n - len(x))]), sig.sample_rate)
+        return TimeSignal(x[:n])
+    return TimeSignal(np.concatenate([x, np.zeros(n - len(x))]))
 
 
 def synthesize_scene(
@@ -362,22 +352,22 @@ def synthesize_scene(
     validate_geometry(room, geom)
     if ser_db is not None and not np.isfinite(ser_db):
         raise ValueError(f"ser_db must be finite, got {ser_db}")
-    fs = x.sample_rate
-    n = int(round(duration * fs)) if np.isfinite(duration) else 0
+    n = int(round(duration * SAMPLE_RATE)) if np.isfinite(duration) else 0
     if n < 1:
-        raise ValueError(f"duration {duration} s must give at least one sample at {fs} Hz")
+        raise ValueError(
+            f"duration {duration} s must give at least one sample at {SAMPLE_RATE} Hz"
+        )
     v = _fit_length(v, n)
     x = _fit_length(x, n)
-    require_one_timeline(v, x)
 
-    h1, h2, h3, h4 = _scene_rirs(room, geom, fs)
+    h1, h2, h3, h4 = _scene_rirs(room, geom)
 
     x_nl = apply_nonlinearity(x, kind)
     s_direct, s_reverb = split_direct(v, h1)
-    s = TimeSignal(s_direct.samples + s_reverb.samples, fs)
+    s = TimeSignal(s_direct.samples + s_reverb.samples)
     d_raw = _convolve(x_nl.samples, h2, n)
     r_far_raw = _convolve(x_nl.samples, h4, n)
-    r_near = TimeSignal(_convolve(v.samples, h3, n), fs)
+    r_near = TimeSignal(_convolve(v.samples, h3, n))
 
     gain, recorded_ser = 1.0, None
     if ser_db is not None:
@@ -385,10 +375,10 @@ def synthesize_scene(
         if es > 0.0 and ed > 0.0:
             gain, recorded_ser = _ser_gain(es, ed, ser_db), float(ser_db)
 
-    d = TimeSignal(gain * d_raw, fs)
-    r_far = TimeSignal(gain * r_far_raw, fs)
-    y = TimeSignal(s.samples + d.samples, fs)
-    r = TimeSignal(r_near.samples + r_far.samples, fs)
+    d = TimeSignal(gain * d_raw)
+    r_far = TimeSignal(gain * r_far_raw)
+    y = TimeSignal(s.samples + d.samples)
+    r = TimeSignal(r_near.samples + r_far.samples)
 
     return Scene(
         x=x,

@@ -8,8 +8,10 @@ meaningful.
 import contextlib
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
+from scipy.io import wavfile
 from scipy.signal import lfilter
 
 from refaec import (
@@ -41,7 +43,14 @@ def speech_like(rng, n, fs=16000, peak=0.95):
     env = lfilter([1.0], [1.0, -0.999], np.abs(rng.standard_normal(n)))
     env /= np.abs(env).max() + 1e-12
     sig = sig * (0.15 + 0.85 * env)
-    return TimeSignal(sig * (peak / np.abs(sig).max()), fs)
+    return TimeSignal(sig * (peak / np.abs(sig).max()))
+
+
+def write_wav_at(path, rate, samples):
+    """A mono float32 WAV file at any rate, written with scipy directly, since
+    the library writes 16 kHz only."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    wavfile.write(path, rate, np.asarray(samples, dtype=np.float32))
 
 
 def random_spectrogram(rng, n_frames, cfg=None, scale=1.0):
@@ -211,7 +220,7 @@ def image_source_rir(room, src, mic, fs, beta):
     src, mic, dims = np.asarray(src, float), np.asarray(mic, float), room.dims
     c = 343.0
     direct = float(np.linalg.norm(src - mic))
-    n_samples = max(room.rir_samples(fs), int(round(direct / c * fs)) + 1)
+    n_samples = max(int(np.ceil(1.2 * room.t60 * fs)), int(round(direct / c * fs)) + 1)
     reach = n_samples / fs * c
     grids = [np.arange(-m, m + 1) for m in np.ceil(reach / (2.0 * dims)).astype(int)]
     h = np.zeros(n_samples)

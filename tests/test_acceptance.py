@@ -226,7 +226,7 @@ def test_criterion_5_rir_validity():
     for i in range(n_rooms):
         room = sample_room(rng)
         geom = sample_geometry(room, rng)
-        h = image_method_rir(room, geom.talker, geom.main_mic, FS)
+        h = image_method_rir(room, geom.talker, geom.main_mic)
         estimate = schroeder_t60(h, FS)
         if np.isfinite(estimate) and abs(estimate - room.t60) / room.t60 <= 0.25:
             within += 1
@@ -314,7 +314,7 @@ def test_criterion_9_reference_proximity():
     for _ in range(n_scenes):
         room = sample_room(rng)
         geom = sample_geometry(room, rng)
-        h1, h2, h3, h4 = roomsim._scene_rirs(room, geom, FS)
+        h1, h2, h3, h4 = roomsim._scene_rirs(room, geom)
         ratio_ref = np.dot(h4, h4) / np.dot(h3, h3)
         ratio_main = np.dot(h2, h2) / np.dot(h1, h1)
         hits += ratio_ref > ratio_main

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import criterion_10_tree, speech_like
+from helpers import criterion_10_tree, speech_like, write_wav_at
 
-from refaec import RoomSpec, TimeSignal, sample_geometry
+from refaec import RoomSpec, sample_geometry
 from refaec.cli import main
 from refaec.pipeline import eval_dataset
 from refaec.wavio import read_wav, write_wav
@@ -105,12 +105,11 @@ def test_rir_rejects_t60_outside_range(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rate", ["0", "-8000"])
-def test_rir_rejects_a_rate_that_is_not_positive(tmp_path, capsys, rate):
+def test_rir_has_no_sample_rate_flag(tmp_path, capsys):
     out = tmp_path / "h.wav"
     room = ["--room", "5.0", "4.0", "3.0", "--t60", "0.25"]
-    assert main(["rir", *room, "--sample-rate", rate, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: sample_rate must be positive, got {rate}\n"
+    assert main(["rir", *room, "--sample-rate", "16000", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --sample-rate 16000" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -207,15 +206,15 @@ def test_eval_rejects_estimate_at_another_sample_rate(corpora, tmp_path, capsys)
     assert main(["synth", "--count", "1", *args, "--out", str(data), "--seed", "2"]) == 0
     est = tmp_path / "est" / "scene_000000.wav"
     y = read_wav(data / "scene_000000" / "y.wav")
-    write_wav(est, TimeSignal(y.samples[::2], 8000))
+    write_wav_at(est, 8000, y.samples[::2])
     manifest, report = data / "manifest.jsonl", tmp_path / "report.jsonl"
-    message = f"estimate {est} at 8000 Hz, scene at 16000 Hz"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    message = f"{est}: expected 16000 Hz, got 8000"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         eval_dataset(manifest, est.parent, report)
     capsys.readouterr()
     args = ["--manifest", str(manifest), "--estimates", str(est.parent), "--report", str(report)]
     assert main(["eval", *args]) == 1
-    assert "8000 Hz" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_rejects_direct_path_at_another_sample_rate(corpora, tmp_path):
@@ -223,10 +222,11 @@ def test_eval_rejects_direct_path_at_another_sample_rate(corpora, tmp_path):
     args = ["--corpus-near", str(corpora / "near"), "--corpus-far", str(corpora / "far")]
     assert main(["synth", "--count", "1", *args, "--out", str(data), "--seed", "2"]) == 0
     scene = data / "scene_000000"
-    write_wav(scene / "sd.wav", TimeSignal(read_wav(scene / "sd.wav").samples, 8000))
+    write_wav_at(scene / "sd.wav", 8000, read_wav(scene / "sd.wav").samples)
     est = tmp_path / "est" / "scene_000000.wav"
     write_wav(est, read_wav(scene / "y.wav"))
-    with pytest.raises(ValueError, match="^signals differ .*at 8000 Hz vs .*at 16000 Hz$"):
+    message = f"{scene / 'sd.wav'}: expected 16000 Hz, got 8000"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         eval_dataset(data / "manifest.jsonl", est.parent, tmp_path / "report.jsonl")
 
 
@@ -264,9 +264,26 @@ def test_run_rejects_a_triplet_of_different_lengths(rng, tmp_path, capsys):
         write_wav(tmp_path / f"{name}.wav", speech_like(rng, n))
     assert _run_triplet(tmp_path, "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == (
-        "error: signals differ in length or sample rate: 16000 samples at 16000 Hz"
-        " vs 16160 samples at 16000 Hz vs 16000 samples at 16000 Hz\n"
+        "error: signals differ in length: 16000 samples vs 16160 samples vs 16000 samples\n"
     )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["unparseable", "at_8000_hz"])
+def test_run_names_the_triplet_file_it_rejects(rng, tmp_path, capsys, case):
+    for name in ("y", "x", "r"):
+        write_wav(tmp_path / f"{name}.wav", speech_like(rng, 16000))
+    bad = tmp_path / "y.wav"
+    if case == "unparseable":
+        bad.write_bytes(b"not a wav file")
+        reason = "File format b'not ' not understood."
+    else:
+        write_wav_at(bad, 8000, speech_like(rng, 16000).samples)
+        reason = "expected 16000 Hz, got 8000"
+    assert _run_triplet(tmp_path, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {reason}")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out").exists()
 
 

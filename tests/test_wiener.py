@@ -508,8 +508,7 @@ def test_shape_mismatch_raises(rng):
     cfg = WienerConfig(taps=1, window_frames=4)
     with pytest.raises(ValueError, match="^spectrograms disagree on shape or grid: .* vs .*$"):
         wstws_cancel(Y, X, cfg)
-    # the same shape on another grid: half the hop, or another sample rate
-    X = random_spectrogram(rng, 10)
-    for other in (Spectrogram(X.data, StftConfig(hop=80)), Spectrogram(X.data, X.config, 8000)):
-        with pytest.raises(ValueError, match="^spectrograms disagree on shape or grid: .* vs .*$"):
-            wstws_cancel(Y, other, cfg)
+    # the same shape on another grid: half the hop
+    other = Spectrogram(random_spectrogram(rng, 10).data, StftConfig(hop=80))
+    with pytest.raises(ValueError, match="^spectrograms disagree on shape or grid: .* vs .*$"):
+        wstws_cancel(Y, other, cfg)

@@ -157,7 +157,7 @@ def triplet_hash(workdir: Path) -> str:
 def rir_hash() -> str:
     """The hash of the responses on RIR_PATHS and of the bytes of the WAV file
     that `refaec rir` writes for a 6 x 5 x 3 m room at t60 0.3 s, seed 0."""
-    arrays = [refaec.image_method_rir(room, src, mic, FS) for room, src, mic in RIR_PATHS]
+    arrays = [refaec.image_method_rir(room, src, mic) for room, src, mic in RIR_PATHS]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "rir.wav"
         room = ["--room", "6", "5", "3", "--t60", "0.3"]
