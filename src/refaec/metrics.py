@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, StftConfig, TimeSignal, pairwise_dot, stft_forward
+from .dsp import Spectrogram, TimeSignal, pairwise_dot, stft_forward
 from .dsp import require_one_grid, require_one_length
 
 ENERGY_FLOOR = 1e-12
@@ -106,12 +106,11 @@ def evaluate_estimate(
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario == "ST_FE":
         return MetricReport(scenario=scenario, erle_db=erle(y, estimate))
-    cfg = StftConfig()
     return MetricReport(
         scenario=scenario,
         sdr_db=sdr(s_direct, estimate),
         s_sisnr_db=s_sisnr(s_direct, estimate),
-        ri_mag_loss=ri_mag_loss(stft_forward(s_direct, cfg), stft_forward(estimate, cfg)),
+        ri_mag_loss=ri_mag_loss(stft_forward(s_direct), stft_forward(estimate)),
     )
 
 

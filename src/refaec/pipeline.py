@@ -11,6 +11,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,9 +54,9 @@ class FeatureFormatError(ValueError):
 class RunConfig:
     """Linear-stage configuration; defaults are the tuned operating point
     (20-tap main solves over 200 frames, single-tap reference solve,
-    1/6 mask compression)."""
+    1/6 mask compression). The STFT grid, 20 ms frames every 10 ms, is fixed."""
 
-    stft: StftConfig = field(default_factory=StftConfig)
+    stft: ClassVar[StftConfig] = StftConfig()
     wiener_main: WienerConfig = field(default_factory=WienerConfig)
     wiener_ref: WienerConfig = field(default_factory=lambda: WienerConfig(taps=1))
     mask: MaskConfig = field(default_factory=MaskConfig)
@@ -102,9 +103,7 @@ def run_linear_stage(
     cfg = cfg or RunConfig()
     require_one_length(y, x, r)
 
-    Y = stft_forward(y, cfg.stft)
-    X = stft_forward(x, cfg.stft)
-    R = stft_forward(r, cfg.stft)
+    Y, X, R = (stft_forward(signal, cfg.stft) for signal in (y, x, r))
 
     mask = compute_mask(R, X, cfg.mask, cfg.wiener_ref)
     R_m = apply_mask(R, mask, cfg.mask.compression)
@@ -247,6 +246,8 @@ def _synth_scene(index: int, *, seed, matched, out, near_files, far_files, durat
     x = _load_corpus_clip(far_path, rng, n)
 
     scene = synthesize_scene(room, geom, v, x, kind, ser_db, seed=index, duration=duration)
+    # the scene mixes at ser_db only when both ends carry energy
+    scenario = "DT" if scene.ser_db is not None else "ST_NE" if scene.s.energy() else "ST_FE"
 
     files = {}
     for name, sig in (("y", scene.y), ("x", scene.x), ("r", scene.r), ("sd", scene.s_direct)):
@@ -264,7 +265,7 @@ def _synth_scene(index: int, *, seed, matched, out, near_files, far_files, durat
         "nonlinearity": dataclasses.asdict(kind),
         "ser_db": scene.ser_db,
         "echo_gain": scene.echo_gain,
-        "scenario": "DT",
+        "scenario": scenario,
         "duration": duration,
         "sample_rate": SAMPLE_RATE,
         "corpus": {"near": near_path.name, "far": far_path.name},
@@ -280,9 +281,9 @@ def synth_dataset(
     corpus_far,
     duration: float = DEFAULT_DURATION,
 ) -> Path:
-    """Synthesize `count` double-talk scenes from corpus clips at
-    SAMPLE_RATE and write waveforms plus a manifest. Every scene is
-    reproducible from the base seed and its index, so reruns are
+    """Synthesize `count` scenes from corpus clips at SAMPLE_RATE, double
+    talk unless a clip is silent, and write waveforms plus a manifest. Every
+    scene is reproducible from the base seed and its index, so reruns are
     byte-identical."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

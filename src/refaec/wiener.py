@@ -30,6 +30,7 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -64,12 +65,13 @@ class WienerConfig:
 
     window_frames counts the past frames added to the current one, so each
     solve sees window_frames + 1 frames (fewer near the start of the signal,
-    where the window is truncated at frame 0).
+    where the window is truncated at frame 0). floor, the share of the
+    window's peak power in every lambda weight, is fixed.
     """
 
+    floor: ClassVar[float] = 1e-3
     taps: int = 20
     window_frames: int = 200
-    floor: float = 1e-3
     diag_load: float = 1e-6
     weighted: bool = True
 
@@ -81,8 +83,6 @@ class WienerConfig:
         if self.window_frames < 1:
             raise ValueError("window_frames must be >= 1")
         # written so that NaN fails too
-        if not 0 < self.floor < math.inf:
-            raise ValueError(f"floor must be finite and > 0, got {self.floor}")
         if not 0 <= self.diag_load < math.inf:
             raise ValueError(f"diag_load must be finite and >= 0, got {self.diag_load}")
 
@@ -118,16 +118,16 @@ class FilterBank:
         return h_all
 
 
-def lambda_weights(y: np.ndarray, window_frames: int, floor: float) -> np.ndarray:
-    """Energy weight of every unit of y, frames on the last axis: floor times
-    the peak power over [t - window_frames, t] plus the unit's own power. Units
-    whose whole window is silent get WEIGHT_FLOOR so quotients stay defined."""
+def lambda_weights(y: np.ndarray, window_frames: int) -> np.ndarray:
+    """Energy weight of every unit of y, frames on the last axis: WienerConfig.floor
+    times the peak power over [t - window_frames, t] plus the unit's own power.
+    Units whose whole window is silent get WEIGHT_FLOOR so quotients stay defined."""
     power = np.abs(y) ** 2
     size = window_frames + 1
     peak = maximum_filter1d(
         power, size=size, axis=-1, mode="constant", cval=0.0, origin=(size - 1) // 2
     )
-    lam = floor * peak + power
+    lam = WienerConfig.floor * peak + power
     lam[lam == 0.0] = WEIGHT_FLOOR
     return lam
 
@@ -281,7 +281,7 @@ def _solve(xt: np.ndarray, yt: np.ndarray, cfg: WienerConfig, keep: Callable[...
 
     def solve_chunk(sl: slice) -> None:
         xa, y = _chunk_stack(xt, yt, sl, taps)
-        weights = 1.0 / lambda_weights(y, cfg.window_frames, cfg.floor) if cfg.weighted else 1.0
+        weights = 1.0 / lambda_weights(y, cfg.window_frames) if cfg.weighted else 1.0
         G = _windowed_sums(_products(xa, weights), cfg.window_frames)
         h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
         del G

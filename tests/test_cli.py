@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import criterion_10_tree, speech_like, write_wav_at
 
-from refaec import RoomSpec, sample_geometry
+from refaec import RoomSpec, TimeSignal, sample_geometry
 from refaec.cli import main
 from refaec.pipeline import eval_dataset
 from refaec.wavio import read_wav, write_wav
@@ -197,6 +197,30 @@ def test_synth_run_eval_workflow(corpora, tmp_path, capsys):
     assert code == 0
     rows = [json.loads(line) for line in report.read_text().strip().split("\n")]
     assert len(rows) == 1 and rows[0]["scenario"] == "DT"
+    capsys.readouterr()
+
+
+# a silent clip leaves nothing to mix, so the scene is single talk: the
+# near end silent (or both ends) gives far-end single talk, scored by ERLE only
+@pytest.mark.parametrize("silent, scenario", [("near", "ST_FE"), ("far", "ST_NE")])
+def test_scenes_with_a_silent_clip_record_their_single_talk(rng, tmp_path, capsys, silent,
+                                                            scenario):
+    for name in ("near", "far"):
+        samples = np.zeros(16000) if name == silent else speech_like(rng, 16000).samples
+        write_wav(tmp_path / name / "clip.wav", TimeSignal(samples))
+    data, est, report = tmp_path / "data", tmp_path / "est", tmp_path / "report.jsonl"
+    config = tmp_path / "desk.cfg"
+    config.write_text("wiener_main.taps = 4\nwiener_main.window_frames = 24\n")
+    corpora = ["--corpus-near", str(tmp_path / "near"), "--corpus-far", str(tmp_path / "far")]
+    assert main(["synth", "--count", "1", *corpora, "--out", str(data)]) == 0
+    manifest = str(data / "manifest.jsonl")
+    assert main(["run", "--manifest", manifest, "--config", str(config), "--out", str(est)]) == 0
+    assert main(["eval", "--manifest", manifest, "--estimates", str(est),
+                 "--report", str(report)]) == 0
+    (rec,) = (json.loads(line) for line in Path(manifest).read_text().splitlines())
+    (row,) = (json.loads(line) for line in report.read_text().splitlines())
+    assert rec["scenario"] == row["scenario"] == scenario and rec["ser_db"] is None
+    assert (row["erle_db"] is not None) == (scenario == "ST_FE")
     capsys.readouterr()
 
 

@@ -25,7 +25,7 @@ def test_lambda_unit_modulus_window():
     cfg = StftConfig()
     data = np.ones((30, cfg.n_bins), dtype=complex)
     Y = Spectrogram(data, cfg)
-    assert lambda_weights(Y.data.T, 10, 0.001)[5, 20] == pytest.approx(1.001, abs=1e-15)
+    assert lambda_weights(Y.data.T, 10)[5, 20] == pytest.approx(1.001, abs=1e-15)
 
 
 def test_lambda_zero_current_unit():
@@ -33,19 +33,19 @@ def test_lambda_zero_current_unit():
     data = np.zeros((10, cfg.n_bins), dtype=complex)
     data[3, 7] = 2.0  # window max power 4
     Y = Spectrogram(data, cfg)
-    assert lambda_weights(Y.data.T, 8, 0.001)[7, 8] == pytest.approx(0.004, abs=1e-15)
+    assert lambda_weights(Y.data.T, 8)[7, 8] == pytest.approx(0.004, abs=1e-15)
 
 
 def test_lambda_all_zero_window_floor():
     cfg = StftConfig()
     Y = Spectrogram(np.zeros((10, cfg.n_bins), dtype=complex), cfg)
-    assert lambda_weights(Y.data.T, 5, 0.001)[0, 5] == 1e-12
+    assert lambda_weights(Y.data.T, 5)[0, 5] == 1e-12
 
 
 def test_lambda_weights_bulk_matches_single(rng):
     Y = random_spectrogram(rng, 40)
     Y.data[5:12, 3] = 0.0
-    lam = lambda_weights(Y.data.T, 7, 0.001)
+    lam = lambda_weights(Y.data.T, 7)
     for t in (0, 3, 8, 15, 39):
         for f in (0, 3, 100):
             assert lam[f, t] == pytest.approx(lambda_weight(Y, t, f, 7, 0.001), rel=1e-12)
@@ -429,6 +429,69 @@ def test_silent_mic_prefix_matches_dense_oracle(rng):
     assert worst <= 1e-8
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: window sums subtract running sums from frame 0, and the "
+    "far end's first 30 s leave round-off that swamps the 120 dB quieter windows",
+)
+def test_quiet_far_end_after_a_long_stream_matches_dense_oracle(rng):
+    # the unweighted route, so no weight of a silent unit is involved
+    stft = StftConfig(window_len=28, hop=14)  # 15 bins
+    n_frames, late = 6000, 30  # 60 s of 10 ms frames
+    Y = random_spectrogram(rng, n_frames, stft)
+    X = random_spectrogram(rng, n_frames, stft)
+    X.data[n_frames // 2 :] *= 1e-6
+    cfg = WienerConfig(taps=4, window_frames=200, weighted=False)
+    _, bank = wstws_cancel(Y, X, cfg)
+    worst = max(
+        _rel_err(bank.taps[t, f], dense_normal_equations(Y, X, t, f, cfg))
+        for t in range(n_frames - late, n_frames)
+        for f in range(Y.n_bins)
+    )
+    assert worst <= 1e-6
+
+
+# ROADMAP item 7: scaling by a power of two is exact in floating point, so
+# wstws_cancel(alpha Y, beta X) returns alpha times the residual and the taps
+# times alpha / beta, bit for bit, unless a unit's whole window is silent
+@pytest.mark.parametrize(
+    "alpha, beta, silent, weighted",
+    [
+        *(
+            pytest.param(alpha, beta, 0, weighted, id=f"{name}-{route}")
+            for name, alpha, beta in (
+                ("alpha_4^5", 4.0**5, 1.0),
+                ("beta_4^-7", 1.0, 4.0**-7),
+                ("alpha_4^-20_beta_4^12", 4.0**-20, 4.0**12),
+                ("alpha_2", 2.0, 1.0),
+            )
+            for route, weighted in (("weighted", True), ("unweighted", False))
+        ),
+        pytest.param(2.0, 1.0, 40, False, id="silent_mic-unweighted"),
+        pytest.param(
+            2.0, 1.0, 40, True, id="silent_mic-weighted",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ROADMAP item 7: a unit whose whole window is silent gets the "
+                "absolute weight 1 / WEIGHT_FLOOR, which does not scale with the mic",
+            ),
+        ),
+    ],
+)
+def test_power_of_two_scaling_is_exact(rng, alpha, beta, silent, weighted):
+    Y = random_spectrogram(rng, 120)
+    X = random_spectrogram(rng, 120)
+    Y.data[:silent] = 0.0
+    cfg = WienerConfig(taps=4, window_frames=16, weighted=weighted)
+    residual, bank = wstws_cancel(Y, X, cfg)
+    scaled, scaled_bank = wstws_cancel(Y.like(alpha * Y.data), X.like(beta * X.data), cfg)
+    assert np.array_equal(scaled.data, alpha * residual.data)
+    assert np.array_equal(scaled_bank.taps, alpha / beta * bank.taps)
+    assert np.array_equal(scaled_bank.degenerate, bank.degenerate)
+
+
 def test_weighted_equals_unweighted_for_constant_modulus(rng):
     n_frames = 40
     cfg_stft = StftConfig()
@@ -467,8 +530,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WienerConfig(taps=0)
     with pytest.raises(ValueError):
-        WienerConfig(floor=0.0)
-    with pytest.raises(ValueError):
         WienerConfig(diag_load=-1e-9)
 
 
@@ -489,16 +550,10 @@ def test_config_accepts_numpy_integers():
 
 @pytest.mark.parametrize(
     "field, value",
-    [
-        ("floor", float("nan")),
-        ("floor", float("inf")),
-        ("diag_load", float("nan")),
-        ("diag_load", float("inf")),
-    ],
+    [("diag_load", float("nan")), ("diag_load", float("inf"))],
 )
 def test_config_rejects_non_finite_settings(field, value):
-    bound = "> 0" if field == "floor" else ">= 0"
-    with pytest.raises(ValueError, match=f"^{field} must be finite and {bound}, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got {value}$"):
         WienerConfig(**{field: value})
 
 

@@ -41,9 +41,9 @@ import refaec  # noqa: E402
 from helpers import criterion_10_tree, speech_like  # noqa: E402
 from refaec import NonlinearityKind, TimeSignal  # noqa: E402
 from refaec.cli import main as cli_main  # noqa: E402
+from refaec.dsp import SAMPLE_RATE  # noqa: E402
 from refaec.wiener import stws_config  # noqa: E402
 
-FS = 16000
 SCENE_SIGNALS = (
     "x", "x_nl", "v", "s", "s_direct", "s_reverb", "d", "y", "r", "r_far", "r_near",
     "rir_talker_main", "rir_speaker_main", "rir_talker_ref", "rir_speaker_ref",
@@ -86,7 +86,7 @@ def _scene(seed: int, duration: float, kind: NonlinearityKind, ser_db: float | N
     rng = np.random.default_rng(seed)
     room = refaec.sample_room(rng)
     geom = refaec.sample_geometry(room, rng)
-    n = int(round(duration * FS))
+    n = int(round(duration * SAMPLE_RATE))
     x = speech_like(rng, n)
     v = TimeSignal(np.zeros(n)) if ser_db is None else speech_like(rng, n)
     return refaec.synthesize_scene(room, geom, v, x, kind, ser_db, seed=seed, duration=duration)
