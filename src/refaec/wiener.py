@@ -13,12 +13,13 @@ derives the chunk's weights from that y alone. Four phases follow over an
 triangle with b[i] at the end of row i:
 _products builds the per-frame terms, _windowed_sums sums them over each
 sliding window, _factor_solve loads A and solves by a Cholesky factorisation
-A = R^H R written as elementwise passes over all units, and _residual applies
-the taps. A unit whose loaded A is not numerically positive definite gets the
-zero filter. The call keeps only each chunk's residual and degenerate flags;
-the [frame, bin, tap] tensor of FilterBank.taps is built when first read, by
-_solve run again on the call's inputs. The per-unit oracles that the tests
-check it against live in tests/helpers.py.
+A = R^H R, which the compiled kernel of _factor.c runs over tiles of units,
+and _residual applies the taps. A unit whose loaded A is not numerically
+positive definite gets the zero filter. The call keeps only each chunk's
+residual and degenerate flags; the [frame, bin, tap] tensor of
+FilterBank.taps is built when first read, by _solve run again on the call's
+inputs. The per-unit oracles that the tests check it against, and the numpy
+statement of the kernel's elimination, live in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
+from . import _factor
 from .dsp import Spectrogram, require_int, require_one_grid
 
 WEIGHT_FLOOR = 1e-12
@@ -174,19 +176,15 @@ def _chunk_stack(
 
 
 @functools.cache
-def _layout(taps: int) -> tuple[int, list[int], np.ndarray, np.ndarray, list[np.ndarray]]:
+def _layout(taps: int) -> tuple[int, list[int], np.ndarray]:
     """Index plan of the augmented packed buffer for `taps` taps.
 
     The buffer has `rows` entries; row i holds A[i, i:] then b[i] from
-    starts[i]. Also returns the entries of A's diagonal, those of b, and for
-    each i the entries A[:i, i], where the factorization leaves R[:i, i].
+    starts[i]. Also returns the starts as the entries of A's diagonal.
     """
     starts = [i * (taps + 1) - i * (i - 1) // 2 for i in range(taps)]
     rows = taps * (taps + 3) // 2
-    diag = np.array(starts, dtype=np.intp)
-    rhs = np.array([s + taps - i for i, s in enumerate(starts)], dtype=np.intp)
-    above = [np.array([starts[k] + i - k for k in range(i)], dtype=np.intp) for i in range(taps)]
-    return rows, starts, diag, rhs, above
+    return rows, starts, np.array(starts, dtype=np.intp)
 
 
 def _products(xa: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -211,14 +209,16 @@ def _factor_solve(
     G: np.ndarray, taps: int, diag_load: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve every unit's loaded normal equations from their window sums G,
-    [entry, unit...], overwriting G.
+    [entry, unit...], C-contiguous, overwriting G.
 
     Returns the taps [taps, unit...], the degenerate mask [unit...] and the
     Cholesky diagonal R[i, i] = sqrt(pivot) [taps, unit...]. A unit whose
     trace or a pivot is not positive, or whose taps are not finite, is
     flagged and gets the zero filter.
     """
-    _, starts, diag_at, rhs_at, above = _layout(taps)
+    rows, _, diag_at = _layout(taps)
+    if len(G) != rows:
+        raise ValueError(f"{taps} taps take {rows} entries per unit, got {len(G)}")
     real = G.real
     diag = real[diag_at]
     trace = diag.sum(axis=0)
@@ -227,28 +227,10 @@ def _factor_solve(
     real[diag_at] = diag
     del diag
 
-    # A = R^H R, right-looking and in place: row i becomes R[i, i:]
-    # followed by z[i], the forward solution of R^H z = b, because b[i] ends
-    # the row that the pivot scales and b[k] ends each trailing row it
-    # updates. 1 / R[i, i] goes to inv[i]. A non-positive pivot turns its
-    # unit to inf/nan here; the unit is zeroed below.
-    inv = np.empty((taps,) + G.shape[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, s in enumerate(starts):
-            np.divide(1.0, np.sqrt(real[s], out=real[s]), out=inv[i])
-            r = G[s + 1 : s + taps + 1 - i]
-            r *= inv[i]
-            rc = r[:-1].conj()
-            for j, k in enumerate(range(i + 1, taps)):
-                G[starts[k] : starts[k] + taps + 1 - k] -= rc[j] * r[j:]
-        # back substitution R h = z, one column of R at a time
-        h = G[rhs_at]
-        for i in range(taps - 1, -1, -1):
-            h[i] *= inv[i]
-            if i:
-                column = G[above[i]]
-                column *= h[i]
-                h[:i] -= column
+    # A = R^H R and R h = z in place, in the compiled kernel of _factor.c; a
+    # non-positive pivot turns its unit to inf/nan there, zeroed below
+    h = np.empty((taps,) + G.shape[1:], dtype=np.complex128)
+    _factor.kernel()(G, h, np.empty(h.shape), taps, h[0].size)
     root = real[diag_at]
     bad |= ~(root > 0.0).all(axis=0)
     bad |= ~np.isfinite(h).all(axis=0)
@@ -291,7 +273,8 @@ def _solve(xt: np.ndarray, yt: np.ndarray, cfg: WienerConfig, keep: Callable[...
         for sl in slices:
             solve_chunk(sl)
     else:
-        # numpy's kernels release the GIL; each chunk writes only its own bins
+        # numpy's kernels and the factor kernel release the GIL; each chunk writes
+        # only its own bins
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(solve_chunk, slices))
 

@@ -6,8 +6,10 @@ meaningful.
 """
 
 import contextlib
+import functools
 import io
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +197,71 @@ def lstsq_weighted(Y, X, t, f, cfg: WienerConfig):
     y_aug = np.concatenate([sw * yv, np.zeros(taps)])
     g, *_ = np.linalg.lstsq(M_aug, y_aug, rcond=None)
     return np.conj(g)
+
+
+def numpy_factor_solve(G, taps, diag_load):
+    """wiener._factor_solve as elementwise numpy passes over all units of G,
+    [entry, unit...], overwriting G: the elimination that the compiled kernel
+    makes operation for operation, with the same returns."""
+    starts = [i * (taps + 1) - i * (i - 1) // 2 for i in range(taps)]
+    diag_at = np.array(starts, dtype=np.intp)
+    rhs_at = np.array([s + taps - i for i, s in enumerate(starts)], dtype=np.intp)
+    above = [np.array([starts[k] + i - k for k in range(i)], dtype=np.intp) for i in range(taps)]
+    real = G.real
+    diag = real[diag_at]
+    trace = diag.sum(axis=0)
+    bad = ~np.isfinite(trace) | (trace <= 0.0)
+    diag += diag_load * trace / taps
+    real[diag_at] = diag
+    del diag
+
+    # A = R^H R, right-looking and in place: row i becomes R[i, i:]
+    # followed by z[i], the forward solution of R^H z = b, because b[i] ends
+    # the row that the pivot scales and b[k] ends each trailing row it
+    # updates. 1 / R[i, i] goes to inv[i]. A non-positive pivot turns its
+    # unit to inf/nan here; the unit is zeroed below.
+    inv = np.empty((taps,) + G.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, s in enumerate(starts):
+            np.divide(1.0, np.sqrt(real[s], out=real[s]), out=inv[i])
+            r = G[s + 1 : s + taps + 1 - i]
+            r *= inv[i]
+            rc = r[:-1].conj()
+            for j, k in enumerate(range(i + 1, taps)):
+                G[starts[k] : starts[k] + taps + 1 - k] -= rc[j] * r[j:]
+        # back substitution R h = z, one column of R at a time
+        h = G[rhs_at]
+        for i in range(taps - 1, -1, -1):
+            h[i] *= inv[i]
+            if i:
+                column = G[above[i]]
+                column *= h[i]
+                h[:i] -= column
+    root = real[diag_at]
+    bad |= ~(root > 0.0).all(axis=0)
+    bad |= ~np.isfinite(h).all(axis=0)
+    h[:, bad] = 0.0
+    return h, bad, root
+
+
+def _fma(a, b, c):
+    """a * b + c rounded once, from exact rationals."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+@functools.cache
+def numpy_complex_multiply_is_fused():
+    """Whether numpy's complex multiply rounds as the factor kernel does on
+    this host: re = fma(ar, br, -(ai bi)) and im = fma(ar, bi, ai br), each
+    with one rounding. Probed on 67 random products, enough to reach both the
+    vector loop and its tail, in the plain and the in-place form."""
+    rng = np.random.default_rng(0)
+    a, b = (rng.standard_normal((67, 2)).view(complex)[:, 0] for _ in range(2))
+    in_place = a.copy()
+    in_place *= b
+    fused = [complex(_fma(x.real, y.real, -(x.imag * y.imag)), _fma(x.real, y.imag, x.imag * y.real))
+             for x, y in zip(a.tolist(), b.tolist())]
+    return np.array_equal(a * b, fused) and np.array_equal(in_place, fused)
 
 
 def schroeder_t60(rir, fs, drop_lo=5.0, drop_hi=25.0):

@@ -1,12 +1,34 @@
 """The phases of the Wiener solver, each called on its own: the augmented
 products, factor-and-solve and the residual, on hand-built buffers."""
 
+import hashlib
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from helpers import dense_normal_equations, random_spectrogram, window_normal_equations
+from helpers import (
+    dense_normal_equations,
+    numpy_complex_multiply_is_fused,
+    numpy_factor_solve,
+    random_spectrogram,
+    window_normal_equations,
+)
 
 from refaec import StftConfig, WienerConfig
-from refaec.wiener import _factor_solve, _products, _residual
+from refaec.wiener import (
+    _chunk_stack,
+    _factor_solve,
+    _products,
+    _residual,
+    _windowed_sums,
+    lambda_weights,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _rel_err(a, b):
@@ -16,6 +38,18 @@ def _rel_err(a, b):
 def _pack(A, b):
     """One unit's augmented buffer: row i is A[i, i:] followed by b[i]."""
     return np.concatenate([np.append(A[i, i:], b[i]) for i in range(len(b))])
+
+
+def _unpack(g, taps):
+    """One unit's Hermitian A and b from its augmented buffer."""
+    A = np.zeros((taps, taps), dtype=complex)
+    b = np.zeros(taps, dtype=complex)
+    start = 0
+    for i in range(taps):
+        A[i, i:] = g[start : start + taps - i]
+        b[i] = g[start + taps - i]
+        start += taps + 1 - i
+    return np.triu(A) + np.triu(A, 1).conj().T, b
 
 
 def _random_units(rng, taps, n_units):
@@ -115,6 +149,90 @@ def test_factor_solve_flags_and_zeroes_a_degenerate_unit(rng, spoil):
         A, b = systems[u]
         loaded = A + 1e-6 * A.trace().real / taps * np.eye(taps)
         assert _rel_err(h[:, u], np.linalg.solve(loaded, b)) < 1e-10
+
+
+def _window_sums(rng, taps):
+    """Weighted window sums of random spectrograms, [entry, unit]: 3 bins of
+    taps + 45 frames over a taps + 10 frame window, so more than two tiles of
+    units, truncated windows and frames of rank below taps."""
+    n_bins, n_frames, window = 3, taps + 45, taps + 10
+    xt, yt = (rng.standard_normal((n_bins, n_frames, 2)).view(complex)[..., 0] for _ in range(2))
+    xa, y = _chunk_stack(xt, yt, slice(None), taps)
+    G = _windowed_sums(_products(xa, 1.0 / lambda_weights(y, window)), window)
+    return G.reshape(len(G), -1)
+
+
+def _assert_kernel_matches_numpy(G, taps, diag_load):
+    kernel = _factor_solve(G.copy(), taps, diag_load)
+    oracle = numpy_factor_solve(G.copy(), taps, diag_load)
+    h, bad, _ = kernel
+    if numpy_complex_multiply_is_fused():
+        for got, expected in zip(kernel, oracle):
+            assert got.tobytes() == expected.tobytes()
+    elif diag_load:
+        # Another rounding moves the taps of ill-conditioned units by far more
+        # than 1e-12, and at diag_load 0 it decides the sign of pivots that
+        # are round-off, so only the flags of loaded systems must agree.
+        assert np.array_equal(bad, oracle[1])
+    # on any host, each solved unit meets its loaded equations
+    for u in np.flatnonzero(~bad):
+        A, b = _unpack(G[:, u], taps)
+        A += diag_load * A.trace().real / taps * np.eye(taps)
+        scale = np.linalg.norm(A) * np.linalg.norm(h[:, u]) + np.linalg.norm(b)
+        assert np.linalg.norm(A @ h[:, u] - b) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("diag_load", [0.0, 1e-6])
+@pytest.mark.parametrize("taps", [1, 2, 8, 20, 64])
+def test_kernel_matches_the_numpy_elimination(rng, taps, diag_load):
+    G = _window_sums(rng, taps)
+    _assert_kernel_matches_numpy(G, taps, diag_load)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [_zero_trace, _negative_first_pivot, _negative_later_pivot, _nan_entry, _inf_rhs],
+    ids=["zero_trace", "negative_first_pivot", "negative_later_pivot", "nan_entry", "inf_rhs"],
+)
+def test_kernel_matches_the_numpy_elimination_on_a_degenerate_unit(rng, spoil):
+    taps = 3
+    systems, _ = _random_units(rng, taps, 3)
+    systems[1] = spoil(*systems[1])
+    G = np.stack([_pack(A, b) for A, b in systems], axis=1)
+    _assert_kernel_matches_numpy(G, taps, 1e-6)
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the features disabled are x86's")
+def test_kernel_bits_do_not_follow_numpy_dispatch(rng, tmp_path):
+    # numpy's complex multiply without AVX-512 or AVX2/FMA rounds otherwise;
+    # the window sums are saved so that both processes solve the same bits
+    taps = 20
+    np.save(tmp_path / "G.npy", _window_sums(rng, taps))
+    script = (
+        "import hashlib, sys\n"
+        "import numpy as np\n"
+        "from refaec.wiener import _factor_solve\n"
+        "digest = hashlib.sha256()\n"
+        "for load in (0.0, 1e-6):\n"
+        "    for out in _factor_solve(np.load(sys.argv[1]), int(sys.argv[2]), load):\n"
+        "        digest.update(out.tobytes())\n"
+        "print(digest.hexdigest())\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
+    }
+    there = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "G.npy"), str(taps)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert there.returncode == 0, there.stderr
+    digest = hashlib.sha256()
+    for load in (0.0, 1e-6):
+        for out in _factor_solve(np.load(tmp_path / "G.npy"), taps, load):
+            digest.update(out.tobytes())
+    assert there.stdout.strip() == digest.hexdigest()
 
 
 def test_products_match_a_direct_loop(rng):

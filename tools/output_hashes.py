@@ -4,7 +4,7 @@ Usage: python3 tools/output_hashes.py
 
 The library is imported from the src/ directory of the checkout that holds
 this script, and the test helpers from its tests/ directory. Run the script on
-two checkouts at the same CPU count: equal lines mean the change moved no
+two checkouts on the same host: equal lines mean the change moved no
 output bit in that group. The groups are:
 
 - the seven run_linear_stage spectrograms of a 6 s double-talk scene at the

@@ -15,7 +15,9 @@ time summed over its calls and threads, and of the wall time:
 - stack: each chunk's delay stack and y (_chunk_stack);
 - build: the per-frame products of the augmented buffer (_products);
 - window sums: the cumulative and sliding sums along frames (_windowed_sums);
-- factor+solve: load, Cholesky and substitutions (_factor_solve);
+- factor+solve: the load and the degenerate flags in numpy, and the
+  Cholesky and substitutions in the compiled kernel of _factor.c
+  (_factor_solve; the kernel is loaded before the first timed call);
 - predict: the prediction and the residual (_residual).
 
 On one thread, the wall time minus the phases is the call's other work: the
