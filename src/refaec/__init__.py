@@ -13,7 +13,7 @@ from .dsp import (
     stft_forward,
     stft_inverse,
 )
-from .masking import MaskConfig, RatioMask, apply_mask, compute_mask
+from .masking import MaskConfig, apply_mask, compute_mask
 from .metrics import (
     MetricReport,
     erle,
@@ -60,7 +60,6 @@ __all__ = [
     "MaskConfig",
     "MetricReport",
     "NonlinearityKind",
-    "RatioMask",
     "RoomSpec",
     "RunConfig",
     "Scene",

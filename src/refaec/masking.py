@@ -26,18 +26,6 @@ class MaskConfig:
             raise ValueError("compression must lie in [0, 1]")
 
 
-@dataclass(eq=False)
-class RatioMask:
-    """Real gains in [0, 1], one per T-F unit."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values < 0) or np.any(self.values > 1):
-            raise ValueError("mask values must lie in [0, 1]")
-
-
 def mask_from_estimates(far_mag: np.ndarray, near_mag: np.ndarray) -> np.ndarray:
     """|far| / (|far| + |near|), with silent units (0/0) mapped to 0. With
     |near| >= 0 the rounded sum is at least |far|, so no quotient exceeds 1."""
@@ -49,8 +37,8 @@ def mask_from_estimates(far_mag: np.ndarray, near_mag: np.ndarray) -> np.ndarray
 
 def compute_mask(
     R: Spectrogram, X: Spectrogram, cfg: MaskConfig, wiener_cfg: WienerConfig
-) -> RatioMask:
-    """Ratio mask that keeps the far-end-explained part of the reference.
+) -> np.ndarray:
+    """Gains in [0, 1], one per T-F unit of R, that keep its far-end-explained part.
 
     The cancellation residual of R against X estimates the near-end
     contamination; what the filter removed estimates the far-end component.
@@ -59,10 +47,10 @@ def compute_mask(
     """
     near, _ = wstws_cancel(R, X, wiener_cfg)
     far = R.data - near.data
-    return RatioMask(mask_from_estimates(np.abs(far), np.abs(near.data)))
+    return mask_from_estimates(np.abs(far), np.abs(near.data))
 
 
-def apply_mask(R: Spectrogram, mask: RatioMask, compression: float) -> Spectrogram:
+def apply_mask(R: Spectrogram, mask: np.ndarray, compression: float) -> Spectrogram:
     """Pointwise product of R with the mask raised to the compression exponent.
 
     compression = 0 is the identity (0**0 reads as 1); compression = 1 applies
@@ -70,7 +58,9 @@ def apply_mask(R: Spectrogram, mask: RatioMask, compression: float) -> Spectrogr
     """
     if not 0.0 <= compression <= 1.0:
         raise ValueError("compression must lie in [0, 1]")
-    if mask.values.shape != R.data.shape:
-        raise ValueError("mask and spectrogram shapes differ")
-    return R.like(mask.values**compression * R.data)
+    if mask.shape != R.data.shape:
+        raise ValueError(f"mask shape {mask.shape} differs from spectrogram shape {R.data.shape}")
+    if not np.all((mask >= 0) & (mask <= 1)):
+        raise ValueError("mask values must lie in [0, 1]")
+    return R.like(mask**compression * R.data)
 

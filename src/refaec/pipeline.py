@@ -311,16 +311,23 @@ def synth_dataset(
 
 
 def read_manifest(path) -> list[dict]:
-    records = []
+    """The records of a manifest, a JSON object with a unique `scene_id` and its
+    `files` on each non-blank line; a bad line raises `<path>:<lineno>: ...`."""
+    records = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    ids = [r["scene_id"] for r in records]
-    if len(set(ids)) != len(ids):
-        raise ValueError("manifest contains duplicate scene ids")
-    return records
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            if not isinstance(rec, dict) or not {"scene_id", "files"} <= rec.keys():
+                raise ValueError(f"{path}:{lineno}: expected an object with scene_id and files")
+            if rec["scene_id"] in records:
+                raise ValueError(f"{path}:{lineno}: duplicate scene id {rec['scene_id']!r}")
+            records[rec["scene_id"]] = rec
+    return list(records.values())
 
 
 def _run_scene(rec: dict, *, root: Path, out: Path, cfg: RunConfig, export: bool) -> Path:

@@ -276,7 +276,7 @@ def test_criterion_7_mask_properties():
         )
         X = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg_stft)
         mask = compute_mask(R, X, mask_cfg, wiener_ref)
-        assert np.all(mask.values >= 0.0) and np.all(mask.values <= 1.0)
+        assert np.all(mask >= 0.0) and np.all(mask <= 1.0)
         identity = apply_mask(R, mask, 0.0)
         assert np.array_equal(identity.data, R.data)
         masked = apply_mask(R, mask, mask_cfg.compression)

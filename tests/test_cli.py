@@ -325,3 +325,40 @@ def test_synth_determinism_across_directories(corpora, tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     assert _tree_bytes(a) == _tree_bytes(b)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ("not json", "invalid JSON: Expecting value"),
+        ('["b"]', "expected an object with scene_id and files"),
+        ('{"scene_id": "b"}', "expected an object with scene_id and files"),
+        ('{"files": {}}', "expected an object with scene_id and files"),
+        ('{"scene_id": "a", "files": {}}', "duplicate scene id 'a'"),
+    ],
+    ids=["invalid_json", "not_an_object", "no_files", "no_scene_id", "duplicate_id"],
+)
+def test_run_names_the_manifest_line_it_rejects(tmp_path, capsys, bad, reason):
+    # the line number counts blank lines, as an editor does
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"scene_id": "a", "files": {}}\n\n' + bad + "\n")
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}:3: {reason}\n"
+
+
+def test_run_writes_the_same_estimate_with_and_without_feature_export(tmp_path, capsys):
+    root = tmp_path / "tree"
+    criterion_10_tree(tmp_path, root)  # runs its manifest with --export-features
+    config = ("--config", str(tmp_path / "desk.cfg"))
+    manifest = str(root / "data" / "manifest.jsonl")
+    assert main(["run", "--manifest", manifest, *config, "--out", str(tmp_path / "plain")]) == 0
+    exported = {name: data for name, data in _tree_bytes(root / "est").items()
+                if name.endswith(".wav")}
+    assert len(exported) == 2 and _tree_bytes(tmp_path / "plain") == exported
+
+    scene = root / "data" / "scene_000000"
+    for out, export in (("single_plain", ()), ("single_export", ("--export-features",))):
+        assert _run_triplet(scene, *config, *export, "--out", str(tmp_path / out)) == 0
+    plain = _tree_bytes(tmp_path / "single_plain")
+    assert plain == {"single.wav": (tmp_path / "single_export" / "single.wav").read_bytes()}
+    capsys.readouterr()
