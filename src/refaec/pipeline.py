@@ -46,10 +46,6 @@ MANIFEST_NAME = "manifest.jsonl"
 CORPUS_PEAK = 0.95
 
 
-class FeatureFormatError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Linear-stage configuration; defaults are the tuned operating point
@@ -147,44 +143,30 @@ def export_features(bundle: FeatureBundle, path) -> None:
             fh.write(spec.data.astype("<c8").tobytes())
 
 
-def read_features(path) -> tuple[dict, list[np.ndarray]]:
-    """Read a feature file back; returns the header fields and the seven
-    writable complex64 matrices in bundle order, every bit as written."""
+def read_features(path) -> FeatureBundle:
+    """The FeatureBundle a feature file was written from: seven spectrograms
+    on the header's StftConfig, each complex64 value upcast exactly to
+    complex128, so export_features writes the file's bytes again. A file that
+    is not a feature bundle raises a one-line ValueError `<path>: <reason>`."""
     raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FeatureFormatError("file shorter than the header")
-    magic, version, n_frames, n_bins, n_signals, window_len, hop = _HEADER.unpack(
-        raw[: _HEADER.size]
-    )
-    if magic != FEATURE_MAGIC:
-        raise FeatureFormatError(f"bad magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise FeatureFormatError(f"unsupported version {version}")
-    if n_signals != N_BUNDLE_SIGNALS:
-        raise FeatureFormatError(f"n_signals is {n_signals}, expected {N_BUNDLE_SIGNALS}")
     try:
+        if len(raw) < _HEADER.size:
+            raise ValueError("file shorter than the header")
+        magic, version, n_frames, n_bins, n_signals, window_len, hop = _HEADER.unpack_from(raw)
+        if magic != FEATURE_MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        if version != FEATURE_VERSION:
+            raise ValueError(f"unsupported version {version}")
+        if n_signals != N_BUNDLE_SIGNALS:
+            raise ValueError(f"n_signals is {n_signals}, expected {N_BUNDLE_SIGNALS}")
+        expected = _HEADER.size + n_signals * n_frames * n_bins * 8
+        if len(raw) != expected:
+            raise ValueError(f"file is {len(raw)} bytes, expected {expected}")
         cfg = StftConfig(window_len, hop)
-    except ValueError as err:
-        raise FeatureFormatError(f"window_len {window_len}, hop {hop}: {err}") from None
-    if n_bins != cfg.n_bins:
-        raise FeatureFormatError(
-            f"n_bins is {n_bins}, expected {cfg.n_bins} for window_len {window_len}"
-        )
-    if n_frames == 0:
-        raise FeatureFormatError("file has no frames")
-    expected = _HEADER.size + n_signals * n_frames * n_bins * 8
-    if len(raw) != expected:
-        raise FeatureFormatError(f"file is {len(raw)} bytes, expected {expected}")
-    header = {
-        "version": version,
-        "n_frames": n_frames,
-        "n_bins": n_bins,
-        "n_signals": n_signals,
-        "window_len": window_len,
-        "hop": hop,
-    }
-    data = np.frombuffer(raw, dtype="<c8", offset=_HEADER.size)
-    return header, list(data.reshape(n_signals, n_frames, n_bins).astype(np.complex64))
+        data = np.frombuffer(raw, "<c8", offset=_HEADER.size).reshape(n_signals, n_frames, n_bins)
+        return FeatureBundle(*(Spectrogram(signal, cfg) for signal in data))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _map_scenes(fn, items: list) -> list:
@@ -310,9 +292,11 @@ def synth_dataset(
     return manifest
 
 
-def read_manifest(path) -> list[dict]:
+def read_manifest(path, files=(), keys=()) -> list[dict]:
     """The records of a manifest, a JSON object with a unique `scene_id` and its
-    `files` on each non-blank line; a bad line raises `<path>:<lineno>: ...`."""
+    `files` object on each non-blank line. Each record must also hold `keys`,
+    and its `files` the names in `files`; a bad line raises
+    `<path>:<lineno>: ...`."""
     records = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -326,6 +310,12 @@ def read_manifest(path) -> list[dict]:
                 raise ValueError(f"{path}:{lineno}: expected an object with scene_id and files")
             if rec["scene_id"] in records:
                 raise ValueError(f"{path}:{lineno}: duplicate scene id {rec['scene_id']!r}")
+            if not isinstance(rec["files"], dict):
+                raise ValueError(f"{path}:{lineno}: files is not an object")
+            missing = [k for k in keys if k not in rec]
+            missing += [f"files.{name}" for name in files if name not in rec["files"]]
+            if missing:
+                raise ValueError(f"{path}:{lineno}: missing {', '.join(missing)}")
             records[rec["scene_id"]] = rec
     return list(records.values())
 
@@ -355,10 +345,11 @@ def run_dataset(
     and, when export is set, the full feature bundle as `<scene_id>.ecf`."""
     cfg = cfg or RunConfig()
     manifest_path = Path(manifest_path)
+    records = read_manifest(manifest_path, files=("y", "x", "r"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = partial(_run_scene, root=manifest_path.parent, out=out, cfg=cfg, export=export)
-    return _map_scenes(run, read_manifest(manifest_path))
+    return _map_scenes(run, records)
 
 
 def eval_dataset(manifest_path, estimates_dir, report_path) -> list[dict]:
@@ -368,7 +359,7 @@ def eval_dataset(manifest_path, estimates_dir, report_path) -> list[dict]:
     root = manifest_path.parent
     estimates = Path(estimates_dir)
     rows = []
-    for rec in read_manifest(manifest_path):
+    for rec in read_manifest(manifest_path, files=("y", "sd"), keys=("scenario",)):
         scene_id = rec["scene_id"]
         est_path = estimates / f"{scene_id}.wav"
         if not est_path.exists():

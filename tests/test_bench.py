@@ -3,6 +3,7 @@ tracer still counts and labels a stage run, so a library change that would
 break a traced benchmark run fails here first. Nothing under bench/ is
 changed."""
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -50,3 +51,17 @@ def test_tracer_counts_and_labels_a_stage_run(bench):
     spans = {name for name, *_ in trace.spans}
     routes = {f"wiener.cancel_s.{route}" for route in ("mask", "far", "ref", "ref_masked")}
     assert routes | {"masking.compute_mask_s", "masking.apply_mask_s"} <= spans
+
+
+def test_bench_ecf_parser_reads_what_read_features_reads(bench, tmp_path):
+    # batch_cli_desk checks the exported files with its own parser, so the
+    # writer must stay the layout that parser reads
+    _, workloads = bench
+    rng = np.random.default_rng(6)
+    y, x, r = (speech_like(rng, 8000) for _ in range(3))
+    path = tmp_path / "bundle.ecf"
+    refaec.export_features(refaec.run_linear_stage(y, x, r, SMALL), path)
+    parsed, loaded = workloads.read_ecf(path), refaec.read_features(path)
+    assert list(parsed) == [f.name for f in dataclasses.fields(loaded)]
+    for name, values in parsed.items():
+        assert np.array_equal(values, getattr(loaded, name).data), name

@@ -327,6 +327,14 @@ def test_synth_determinism_across_directories(corpora, tmp_path, capsys):
     capsys.readouterr()
 
 
+# a record that each command can read: run reads y, x and r, eval reads y, sd
+# and the scenario
+GOOD_RECORD = {
+    "run": {"scene_id": "a", "files": {"y": "y.wav", "x": "x.wav", "r": "r.wav"}},
+    "eval": {"scene_id": "a", "scenario": "DT", "files": {"y": "y.wav", "sd": "sd.wav"}},
+}
+
+
 @pytest.mark.parametrize(
     "bad, reason",
     [
@@ -341,9 +349,37 @@ def test_synth_determinism_across_directories(corpora, tmp_path, capsys):
 def test_run_names_the_manifest_line_it_rejects(tmp_path, capsys, bad, reason):
     # the line number counts blank lines, as an editor does
     manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text('{"scene_id": "a", "files": {}}\n\n' + bad + "\n")
+    manifest.write_text(json.dumps(GOOD_RECORD["run"]) + "\n\n" + bad + "\n")
     assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {manifest}:3: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, bad, reason",
+    [
+        ("run", {"files": ["y.wav", "x.wav", "r.wav"]}, "files is not an object"),
+        ("run", {"files": {"x": "x.wav", "r": "r.wav"}}, "missing files.y"),
+        ("run", {"files": {"y": "y.wav"}}, "missing files.x, files.r"),
+        ("eval", {"scenario": "DT", "files": "y.wav"}, "files is not an object"),
+        ("eval", {"scenario": "DT", "files": {"sd": "sd.wav"}}, "missing files.y"),
+        ("eval", {"scenario": "DT", "files": {"y": "y.wav"}}, "missing files.sd"),
+        ("eval", {"files": {"y": "y.wav", "sd": "sd.wav"}}, "missing scenario"),
+    ],
+    ids=["run_files_not_an_object", "run_no_y", "run_no_x_or_r", "eval_files_not_an_object",
+         "eval_no_y", "eval_no_sd", "eval_no_scenario"],
+)
+def test_commands_name_the_manifest_key_they_miss(tmp_path, capsys, command, bad, reason):
+    # the rejection comes before any output: no --out tree, no report
+    manifest = tmp_path / "manifest.jsonl"
+    lines = (GOOD_RECORD[command], {"scene_id": "b", **bad})
+    manifest.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "o"
+    outputs = {"run": ["--out", str(out)],
+               "eval": ["--estimates", str(tmp_path), "--report", str(out / "report.jsonl")]}
+    assert main([command, "--manifest", str(manifest), *outputs[command]]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}:2: {reason}\n"
+    assert not out.exists()
 
 
 def test_run_writes_the_same_estimate_with_and_without_feature_export(tmp_path, capsys):

@@ -41,7 +41,6 @@ from refaec import (
 from refaec import pipeline, roomsim, wiener
 from refaec.masking import apply_mask, compute_mask
 from refaec.pipeline import (
-    FeatureFormatError,
     eval_dataset,
     parse_config_file,
     read_manifest,
@@ -244,18 +243,14 @@ def test_export_header_and_size_roundtrip(rng, tmp_path):
     export_features(bundle, path)
     n_frames, n_bins = bundle.mic.data.shape
     assert path.stat().st_size == 28 + 7 * n_frames * n_bins * 8
-    header, signals = read_features(path)
-    assert header == {
-        "version": 1,
-        "n_frames": n_frames,
-        "n_bins": n_bins,
-        "n_signals": 7,
-        "window_len": 320,
-        "hop": 160,
-    }
-    for spec, loaded in zip(bundle.signals(), signals):
-        assert np.allclose(loaded, spec.data.astype(np.complex64), atol=0.0)
+    loaded = read_features(path)
+    assert loaded.config == StftConfig(320, 160)
+    for spec, back in zip(bundle.signals(), loaded.signals()):
+        assert back.data.shape == (n_frames, n_bins)
+        assert np.array_equal(back.data, spec.data.astype(np.complex64))
     assert path.read_bytes() == ecf_bytes(bundle)
+    export_features(loaded, tmp_path / "again.ecf")
+    assert (tmp_path / "again.ecf").read_bytes() == path.read_bytes()
 
 
 def test_export_roundtrips_every_bit_signed_zeros_included(rng, tmp_path):
@@ -269,12 +264,16 @@ def test_export_roundtrips_every_bit_signed_zeros_included(rng, tmp_path):
     path = tmp_path / "signed.ecf"
     export_features(bundle, path)
     assert path.read_bytes() == ecf_bytes(bundle)
-    _, signals = read_features(path)
-    assert len(signals) == 7
-    for spec, loaded in zip(specs, signals):
-        assert loaded.dtype == np.complex64 and loaded.flags.writeable
-        assert loaded.tobytes() == spec.data.astype(np.complex64).tobytes()
-        assert np.signbit(loaded[0, 0].imag) and np.signbit(loaded[0, 1].real)
+    loaded = read_features(path)
+    assert isinstance(loaded, FeatureBundle) and loaded.config == cfg
+    for spec, back in zip(specs, loaded.signals()):
+        # the complex64 upcast is exact: every bit, sign bits included
+        assert back.data.dtype == np.complex128 and back.data.flags.writeable
+        upcast = spec.data.astype(np.complex64).astype(np.complex128)
+        assert back.data.tobytes() == upcast.tobytes()
+        assert np.signbit(back.data[0, 0].imag) and np.signbit(back.data[0, 1].real)
+    export_features(loaded, tmp_path / "again.ecf")
+    assert (tmp_path / "again.ecf").read_bytes() == path.read_bytes()
 
 
 def test_export_rejects_corrupted_magic(rng, tmp_path):
@@ -285,10 +284,33 @@ def test_export_rejects_corrupted_magic(rng, tmp_path):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"NOPE"
     path.write_bytes(bytes(blob))
-    with pytest.raises(FeatureFormatError):
+    with pytest.raises(ValueError) as err:
         read_features(path)
-    with pytest.raises(FeatureFormatError):
+    assert str(err.value) == f"{path}: bad magic b'NOPE'"
+    with pytest.raises(ValueError) as err:
         read_features(__file__)  # arbitrary non-feature file
+    assert str(err.value) == f"{__file__}: bad magic {Path(__file__).read_bytes()[:4]!r}"
+
+
+# a file that the container itself rejects: too short, on another version,
+# or not the size that its header gives
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda blob: blob[:27], "file shorter than the header"),
+        (lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:], "unsupported version 2"),
+        (lambda blob: blob[:-8], "file is 9036 bytes, expected 9044"),
+        (lambda blob: blob + bytes(8), "file is 9052 bytes, expected 9044"),
+    ],
+    ids=["short", "version_2", "one_unit_short", "one_unit_long"],
+)
+def test_read_rejects_a_broken_container(rng, tmp_path, change, message):
+    path = tmp_path / "bundle.ecf"
+    export_features(FeatureBundle(*(random_spectrogram(rng, 1) for _ in range(7))), path)
+    path.write_bytes(change(path.read_bytes()))
+    with pytest.raises(ValueError) as err:
+        read_features(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 # size-consistent files whose header disagrees with the format:
@@ -297,8 +319,8 @@ def test_export_rejects_corrupted_magic(rng, tmp_path):
     "header, message",
     [
         ((3, 161, 6, 320, 160), "n_signals is 6, expected 7"),
-        ((3, 7, 7, 320, 160), "n_bins is 7, expected 161 for window_len 320"),
-        ((0, 161, 7, 320, 160), "no frames"),
+        ((3, 7, 7, 320, 160), "spectrogram has 7 bins, config expects 161"),
+        ((0, 161, 7, 320, 160), "spectrogram must be 2-D with frames, got shape (0, 161)"),
         ((3, 161, 7, 320, 0), "hop must satisfy 0 < hop <= window_len"),
         ((3, 161, 7, 320, 400), "hop must satisfy 0 < hop <= window_len"),
         ((3, 161, 7, 321, 160), "window_len must be a positive even sample count"),
@@ -313,9 +335,21 @@ def test_read_rejects_header_that_disagrees_with_format(tmp_path, header, messag
         struct.pack("<4sIIIIII", b"ECF1", 1, n_frames, n_bins, n_signals, window_len, hop)
         + bytes(n_signals * n_frames * n_bins * 8)
     )
-    with pytest.raises(FeatureFormatError, match=message) as err:
+    with pytest.raises(ValueError) as err:
         read_features(path)
-    assert "\n" not in str(err.value)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_read_rejects_a_non_finite_value(rng, tmp_path):
+    specs = [random_spectrogram(rng, 3) for _ in range(7)]
+    path = tmp_path / "nan.ecf"
+    export_features(FeatureBundle(*specs), path)
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = struct.pack("<f", np.nan)  # the last unit's imaginary part
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as err:
+        read_features(path)
+    assert str(err.value) == f"{path}: spectrogram contains non-finite entries"
 
 
 # a bundle's header describes every signal, so one signal on another STFT
@@ -341,12 +375,10 @@ def test_bundle_rederivable_from_exported_inputs(rng, tmp_path):
     bundle = run_linear_stage(y, x, r, SMALL)
     path = tmp_path / "bundle.ecf"
     export_features(bundle, path)
-    _, signals = read_features(path)
+    loaded = read_features(path)
 
     cfg = SMALL
-    X = bundle.far.like(signals[0].astype(np.complex128))
-    Y = bundle.mic.like(signals[1].astype(np.complex128))
-    R = bundle.ref.like(signals[2].astype(np.complex128))
+    X, Y, R = loaded.far, loaded.mic, loaded.ref
     mask = compute_mask(R, X, cfg.mask, cfg.wiener_ref)
     rm = apply_mask(R, mask, cfg.mask.compression)
     rederived = [
@@ -355,7 +387,8 @@ def test_bundle_rederivable_from_exported_inputs(rng, tmp_path):
         wstws_cancel(Y, R, cfg.wiener_main)[0].data,
         wstws_cancel(Y, rm, cfg.wiener_main)[0].data,
     ]
-    exported = [signals[3], signals[4], signals[5], signals[6]]
+    exported = [loaded.ref_masked.data, loaded.resid_far.data, loaded.resid_ref.data,
+                loaded.resid_ref_masked.data]
     for re_d, ex_d in zip(rederived, exported):
         scale = np.max(np.abs(ex_d))
         assert np.max(np.abs(re_d - ex_d)) <= 1e-3 * scale

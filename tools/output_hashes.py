@@ -22,7 +22,9 @@ output bit in that group. The groups are:
   canceller, wstws_cancel(Y, R_m, stws_config(RunConfig().wiener_main)), with
   the stage's masked reference R_m;
 - image_method_rir on RIR_PATHS, fixed rooms from t60 0.1 to 0.8 s, and the
-  WAV file that `refaec rir --seed 0` writes.
+  WAV file that `refaec rir --seed 0` writes;
+- the `<scene_id>.wav` files that `refaec run --manifest --config desk.cfg`
+  writes without --export-features on the criterion-10 manifest.
 """
 
 from __future__ import annotations
@@ -141,17 +143,29 @@ def tree_hashes(workdir: Path, workers: int) -> tuple[str, str]:
     return _file_tree(root, skip=report.name), hashlib.sha256(report.read_bytes()).hexdigest()
 
 
+def _run_hash(workdir: Path, out_name: str, *args: str) -> str:
+    """The hash of the files that `refaec run *args --config desk.cfg` writes
+    to workdir / out_name."""
+    out = workdir / out_name
+    code = cli_main(["run", *args, "--config", str(workdir / "desk.cfg"), "--out", str(out)])
+    if code != 0:
+        sys.exit(f"error: refaec run exited {code}")
+    return _file_tree(out)
+
+
 def triplet_hash(workdir: Path) -> str:
     """The hash of the files that a triplet run writes for the first scene of
     the criterion-10 tree that tree_hashes(workdir, 1) made."""
     scene = workdir / "exec_1" / "data" / "scene_000000"
-    out = workdir / "triplet"
     files = [arg for name in ("y", "x", "r") for arg in (f"--{name}", str(scene / f"{name}.wav"))]
-    options = ["--config", str(workdir / "desk.cfg"), "--export-features", "--out", str(out)]
-    code = cli_main(["run", *files, *options])
-    if code != 0:
-        sys.exit(f"error: refaec run exited {code}")
-    return _file_tree(out)
+    return _run_hash(workdir, "triplet", *files, "--export-features")
+
+
+def plain_run_hash(workdir: Path) -> str:
+    """The hash of the estimates that a manifest run without feature export
+    writes for the criterion-10 tree that tree_hashes(workdir, 1) made."""
+    manifest = workdir / "exec_1" / "data" / "manifest.jsonl"
+    return _run_hash(workdir, "plain", "--manifest", str(manifest))
 
 
 def rir_hash() -> str:
@@ -180,8 +194,9 @@ def main() -> None:
             print(f"{tree}  criterion-10 tree without report.jsonl, {workers} worker(s)")
             print(f"{report}  criterion-10 report.jsonl, {workers} worker(s)")
         print(f"{triplet_hash(Path(tmp))}  triplet run of the first criterion-10 scene")
-    print(f"{stws}  unweighted masked-reference residual, taps and flags, 6 s default scene")
-    print(f"{rir_hash()}  image_method_rir on 4 fixed paths and a `refaec rir` WAV")
+        print(f"{stws}  unweighted masked-reference residual, taps and flags, 6 s default scene")
+        print(f"{rir_hash()}  image_method_rir on 4 fixed paths and a `refaec rir` WAV")
+        print(f"{plain_run_hash(Path(tmp))}  criterion-10 run without --export-features")
 
 
 if __name__ == "__main__":
