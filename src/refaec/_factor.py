@@ -1,4 +1,4 @@
-"""Build and load the compiled factor-and-solve kernel, _factor.c.
+"""Build and load the compiled solver kernel, _factor.c.
 
 kernel() compiles the kernel on first use in a process, with the C compiler
 COMPILER at FLAGS, into a shared object cached in CACHE_DIR, the package's
@@ -25,6 +25,7 @@ import tempfile
 import threading
 from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,18 +37,28 @@ FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 _lock = threading.Lock()
 
 
-def kernel() -> Callable[..., None]:
-    """factor_solve(g, h, inv, taps, n) of _factor.c, loaded once per process."""
+class Kernel(NamedTuple):
+    """The entry points of _factor.c. Each releases the interpreter lock for
+    the call and raises MemoryError where the C function cannot allocate its
+    scratch."""
+
+    window_sums: Callable[..., int]  # (x, y, w, g, taps, window, bins, frames)
+    factor_solve: Callable[..., int]  # (g, diag_load, h, root, bad, taps, n)
+    apply_taps: Callable[..., int]  # (x, y, h, res, taps, bins, frames)
+
+
+def kernel() -> Kernel:
+    """The kernel, loaded once per process."""
     with _lock:
         return _loaded()
 
 
 @functools.cache
-def _loaded() -> Callable[..., None]:
+def _loaded() -> Kernel:
     return load()
 
 
-def load() -> Callable[..., None]:
+def load() -> Kernel:
     """Load the kernel from the cache, building it first if it is not there."""
     cc = shutil.which(COMPILER)
     if cc is None:
@@ -89,11 +100,24 @@ def _build(cc: str, source: bytes, path: Path) -> None:
             os.unlink(tmp)
 
 
-def _open(path: Path) -> Callable[..., None]:
-    # ctypes releases the interpreter lock for the call
-    fn = ctypes.CDLL(str(path)).factor_solve
-    complex_array = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
-    real_array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    fn.argtypes = [complex_array, complex_array, real_array, ctypes.c_ssize_t, ctypes.c_ssize_t]
-    fn.restype = None
-    return fn
+def _check(status: int, fn, args) -> int:
+    if status:
+        raise MemoryError(f"{fn.__name__}: no memory for the solver kernel's scratch")
+    return status
+
+
+def _open(path: Path) -> Kernel:
+    lib = ctypes.CDLL(str(path))
+    c = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
+    r = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    flags = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
+    size = ctypes.c_ssize_t
+    argtypes = {
+        "window_sums": [c, c, r, c, size, size, size, size],
+        "factor_solve": [c, ctypes.c_double, c, r, flags, size, size],
+        "apply_taps": [c, c, c, c, size, size, size],
+    }
+    for name, types in argtypes.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype, fn.errcheck = types, ctypes.c_int, _check
+    return Kernel(*(getattr(lib, name) for name in Kernel._fields))

@@ -26,7 +26,7 @@ from .dsp import (
     stft_inverse,
 )
 from .masking import MaskConfig, apply_mask, compute_mask
-from .metrics import evaluate_estimate, report_record
+from .metrics import SCENARIOS, evaluate_estimate, report_record
 from .nonlinear import sample_kind
 from .roomsim import (
     DEFAULT_DURATION,
@@ -295,8 +295,8 @@ def synth_dataset(
 def read_manifest(path, files=(), keys=()) -> list[dict]:
     """The records of a manifest, a JSON object with a unique `scene_id` and its
     `files` object on each non-blank line. Each record must also hold `keys`,
-    and its `files` the names in `files`; a bad line raises
-    `<path>:<lineno>: ...`."""
+    and its `files` the names in `files`, each a string; a `scenario` in `keys`
+    must be one of metrics.SCENARIOS. A bad line raises `<path>:<lineno>: ...`."""
     records = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -316,6 +316,11 @@ def read_manifest(path, files=(), keys=()) -> list[dict]:
             missing += [f"files.{name}" for name in files if name not in rec["files"]]
             if missing:
                 raise ValueError(f"{path}:{lineno}: missing {', '.join(missing)}")
+            for name in files:
+                if not isinstance(rec["files"][name], str):
+                    raise ValueError(f"{path}:{lineno}: files.{name} is not a string")
+            if "scenario" in keys and rec["scenario"] not in SCENARIOS:
+                raise ValueError(f"{path}:{lineno}: unknown scenario {rec['scenario']!r}")
             records[rec["scene_id"]] = rec
     return list(records.values())
 

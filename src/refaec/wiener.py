@@ -6,20 +6,21 @@ divides each frame's squared error by an energy-tracking weight so that
 low-energy units do not dominate the fit.
 
 wstws_cancel solves every unit's normal equations A h = b at once, a chunk of
-bins at a time, in _solve. _chunk_slices plans the chunks, _chunk_stack lays
-out each chunk's delay stack and y, frames innermost, and lambda_weights
-derives the chunk's weights from that y alone. Four phases follow over an
-[entry, bin, frame] buffer that holds the Hermitian A as its packed upper
-triangle with b[i] at the end of row i:
-_products builds the per-frame terms, _windowed_sums sums them over each
-sliding window, _factor_solve loads A and solves by a Cholesky factorisation
-A = R^H R, which the compiled kernel of _factor.c runs over tiles of units,
-and _residual applies the taps. A unit whose loaded A is not numerically
+bins at a time, in _solve. _chunk_slices plans the chunks, and
+lambda_weights derives each chunk's weights from its own y (the unweighted
+route weights every frame by one). Three phases follow, each one call into
+the compiled kernel of _factor.c, over an [entry, bin, frame] buffer that
+holds the Hermitian A as its packed upper triangle with b[i] at the end of
+row i: _build_sums forms the per-frame products, reading X and Y at each
+tap's delay, and sums them over each sliding window; _factor_solve loads A
+and solves by a Cholesky factorisation A = R^H R over tiles of units; and
+_apply_taps applies the taps. A unit whose loaded A is not numerically
 positive definite gets the zero filter. The call keeps only each chunk's
 residual and degenerate flags; the [frame, bin, tap] tensor of
 FilterBank.taps is built when first read, by _solve run again on the call's
 inputs. The per-unit oracles that the tests check it against, and the numpy
-statement of the kernel's elimination, live in tests/helpers.py.
+statement of each phase that the kernel makes operation for operation, live
+in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ WEIGHT_FLOOR = 1e-12
 
 # Bins are solved in chunks. A chunk's buffer holds, per bin and frame, the
 # packed upper triangle of the tap covariance and the cross-correlation
-# vector, 16 * rows * frames * bins bytes (rows from _layout); it stays near
-# _CHUNK_BYTES so each worker's passes over it run from cache, but spans at
-# least _CHUNK_UNITS frame-bins so every numpy call has enough elements to
-# amortise its interpreter overhead. At least one bin per chunk, at least one
+# vector, 16 * rows * frames * bins bytes (rows from _rows); it stays near
+# _CHUNK_BYTES, but spans at least _CHUNK_UNITS frame-bins so that a chunk's
+# interpreter work (its weights, buffers and kernel calls) stays small next to
+# the kernel's. At least one bin per chunk, at least one
 # chunk per worker. Every bin's arithmetic is the same whatever the chunking,
 # so outputs do not depend on the budget, the floor or the worker count.
 _CHUNK_BYTES = 3 * 1024 * 1024
@@ -113,7 +114,7 @@ class FilterBank:
         n_bins, n_frames = xt.shape
         h_all = np.empty((n_frames, n_bins, cfg.taps), dtype=np.complex128)
 
-        def keep(sl, h, bad, xc, y) -> None:
+        def keep(sl, h, bad) -> None:
             h_all[:, sl, :] = h.transpose(2, 1, 0)
 
         _solve(xt, yt, cfg, keep)
@@ -134,74 +135,33 @@ def lambda_weights(y: np.ndarray, window_frames: int) -> np.ndarray:
     return lam
 
 
-def _windowed_sums(G: np.ndarray, window_frames: int) -> np.ndarray:
-    """Sliding sums over [t - window_frames, t] of the per-frame terms G along
-    the last axis, formed in place and returned: G is summed cumulatively,
-    then blocks of at most window_frames + 1 frames are taken from the end, so
-    each block subtracts frames that are still cumulative sums."""
-    np.cumsum(G, axis=-1, out=G)
-    n = G.shape[-1]
-    span = window_frames + 1
-    for hi in range(n, span, -span):
-        lo = max(span, hi - span)
-        G[..., lo:hi] -= G[..., lo - span : hi - span]
-    return G
-
-
 def _chunk_slices(taps: int, n_frames: int, n_bins: int, workers: int) -> list[slice]:
     """The bins of each chunk, under the budget and floor described above."""
-    bin_bytes = 16 * _layout(taps)[0] * n_frames
+    bin_bytes = 16 * _rows(taps) * n_frames
     bins = max(_CHUNK_BYTES // bin_bytes, -(-_CHUNK_UNITS // n_frames))
     bins = max(1, min(bins, -(-n_bins // workers)))
     return [slice(lo, min(n_bins, lo + bins)) for lo in range(0, n_bins, bins)]
 
 
-def _chunk_stack(
-    xt: np.ndarray, yt: np.ndarray, sl: slice, taps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The augmented stack xa [entry, bin, frame] of the bins sl, and their y.
+def _rows(taps: int) -> int:
+    """Entries per unit of the augmented packed buffer: row i holds A[i, i:]
+    then b[i], taps + 1 - i entries."""
+    return taps * (taps + 3) // 2
 
-    xt and yt are X and Y transposed to [bin, frame]. xa[k, f, t] = X[t - k, f]
-    for k < taps, zero before frame 0, and xa[taps] = y: the
-    [x_0, ..., x_{taps-1}, y] that _products takes. y is returned apart from
-    xa, which _products conjugates in place.
+
+def _build_sums(
+    x: np.ndarray, y: np.ndarray, weights: np.ndarray, taps: int, window_frames: int
+) -> np.ndarray:
+    """Window sums of every unit's normal equations, [entry, bin, frame], from
+    a chunk's X, Y and weights, [bin, frame], in the kernel's window_sums.
+
+    Row i of the buffer holds the sums over [t - window_frames, t] of
+    w x_i conj(x_j) for A[i, i:] (j >= i), then of w x_i conj(y) for b[i],
+    where x_k is X delayed by k frames, zero before frame 0.
     """
-    x, y = xt[sl], yt[sl]
-    n = x.shape[1]
-    xa = np.zeros((taps + 1,) + x.shape, dtype=np.complex128)
-    for k in range(taps):
-        xa[k, :, k:] = x[:, : max(n - k, 0)]
-    xa[taps] = y
-    return xa, y
-
-
-@functools.cache
-def _layout(taps: int) -> tuple[int, list[int], np.ndarray]:
-    """Index plan of the augmented packed buffer for `taps` taps.
-
-    The buffer has `rows` entries; row i holds A[i, i:] then b[i] from
-    starts[i]. Also returns the starts as the entries of A's diagonal.
-    """
-    starts = [i * (taps + 1) - i * (i - 1) // 2 for i in range(taps)]
-    rows = taps * (taps + 3) // 2
-    return rows, starts, np.array(starts, dtype=np.intp)
-
-
-def _products(xa: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-frame terms of every unit's normal equations, [entry, unit...].
-
-    xa stacks the delay stack and y, [x_0, ..., x_{taps-1}, y], over units
-    [unit...]; it is conjugated in place. Row i of the result is
-    w x_i * conj(xa[i:]): the products w x_i conj(x_j) of A[i, i:] (j >= i)
-    followed by the product w x_i conj(y) of b[i].
-    """
-    taps = len(xa) - 1
-    rows, starts = _layout(taps)[:2]
-    wx = xa[:taps] * weights
-    np.conjugate(xa, out=xa)
-    G = np.empty((rows,) + xa.shape[1:], dtype=np.complex128)
-    for i, s in enumerate(starts):
-        np.multiply(wx[i], xa[i:], out=G[s : s + taps + 1 - i])
+    n_bins, n_frames = x.shape
+    G = np.empty((_rows(taps), n_bins, n_frames), dtype=np.complex128)
+    _factor.kernel().window_sums(x, y, weights, G, taps, window_frames, n_bins, n_frames)
     return G
 
 
@@ -209,51 +169,37 @@ def _factor_solve(
     G: np.ndarray, taps: int, diag_load: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve every unit's loaded normal equations from their window sums G,
-    [entry, unit...], C-contiguous, overwriting G.
+    [entry, unit...], C-contiguous, in the kernel's factor_solve; G is read,
+    not written.
 
     Returns the taps [taps, unit...], the degenerate mask [unit...] and the
     Cholesky diagonal R[i, i] = sqrt(pivot) [taps, unit...]. A unit whose
     trace or a pivot is not positive, or whose taps are not finite, is
     flagged and gets the zero filter.
     """
-    rows, _, diag_at = _layout(taps)
+    rows = _rows(taps)
     if len(G) != rows:
         raise ValueError(f"{taps} taps take {rows} entries per unit, got {len(G)}")
-    real = G.real
-    diag = real[diag_at]
-    trace = diag.sum(axis=0)
-    bad = ~np.isfinite(trace) | (trace <= 0.0)
-    diag += diag_load * trace / taps
-    real[diag_at] = diag
-    del diag
-
-    # A = R^H R and R h = z in place, in the compiled kernel of _factor.c; a
-    # non-positive pivot turns its unit to inf/nan there, zeroed below
     h = np.empty((taps,) + G.shape[1:], dtype=np.complex128)
-    _factor.kernel()(G, h, np.empty(h.shape), taps, h[0].size)
-    root = real[diag_at]
-    bad |= ~(root > 0.0).all(axis=0)
-    bad |= ~np.isfinite(h).all(axis=0)
-    h[:, bad] = 0.0
+    root = np.empty(h.shape)
+    bad = np.empty(G.shape[1:], dtype=bool)
+    _factor.kernel().factor_solve(G, diag_load, h, root, bad, taps, bad.size)
     return h, bad, root
 
 
-def _residual(h: np.ndarray, xc: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y minus the prediction sum_k conj(h_k) x_k, from the conjugated delay
-    stack xc [taps, unit...]. Zero-filter units pass y through untouched, bit
-    for bit."""
-    # conj(sum h_k conj(x_k)) is sum conj(h_k) x_k, bit for bit
-    prediction = np.multiply(h, xc).sum(axis=0)
-    res = y - np.conjugate(prediction, out=prediction)
-    np.copyto(res, y, where=~(h != 0).any(axis=0))
+def _apply_taps(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y minus the prediction sum_k conj(h_k) x_k of a chunk, [bin, frame],
+    in the kernel's apply_taps. Zero-filter units pass y through untouched,
+    bit for bit."""
+    res = np.empty_like(y)
+    _factor.kernel().apply_taps(x, y, h, res, len(h), *y.shape)
     return res
 
 
 def _solve(xt: np.ndarray, yt: np.ndarray, cfg: WienerConfig, keep: Callable[..., None]) -> None:
     """Solve every unit of X and Y transposed to [bin, frame], a chunk of bins
-    at a time, each chunk weighted from its own y; keep(sl, h, bad, xc, y)
-    takes each chunk's taps [taps, bin, frame], degenerate mask, conjugated
-    delay stack and y."""
+    at a time, each chunk weighted from its own y; keep(sl, h, bad) takes each
+    chunk's taps [taps, bin, frame] and degenerate mask."""
     taps = cfg.taps
     # a child process, such as a scene worker, solves on one thread: the
     # scene pool already runs one worker per CPU
@@ -262,19 +208,19 @@ def _solve(xt: np.ndarray, yt: np.ndarray, cfg: WienerConfig, keep: Callable[...
     slices = _chunk_slices(taps, n_frames, n_bins, workers)
 
     def solve_chunk(sl: slice) -> None:
-        xa, y = _chunk_stack(xt, yt, sl, taps)
-        weights = 1.0 / lambda_weights(y, cfg.window_frames) if cfg.weighted else 1.0
-        G = _windowed_sums(_products(xa, weights), cfg.window_frames)
+        y = yt[sl]
+        weights = 1.0 / lambda_weights(y, cfg.window_frames) if cfg.weighted else np.ones(y.shape)
+        G = _build_sums(xt[sl], y, weights, taps, cfg.window_frames)
         h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
         del G
-        keep(sl, h, bad, xa[:taps], y)
+        keep(sl, h, bad)
 
     if workers == 1:
         for sl in slices:
             solve_chunk(sl)
     else:
-        # numpy's kernels and the factor kernel release the GIL; each chunk writes
-        # only its own bins
+        # the solver kernel releases the GIL for each call, numpy inside its
+        # loops; each chunk writes only its own bins
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(solve_chunk, slices))
 
@@ -301,8 +247,8 @@ def wstws_cancel(
     degenerate = np.empty((n_frames, n_bins), dtype=bool)
     residual = np.empty_like(Y.data)
 
-    def keep(sl, h, bad, xc, y) -> None:
-        residual[:, sl] = _residual(h, xc, y).T
+    def keep(sl, h, bad) -> None:
+        residual[:, sl] = _apply_taps(h, xt[sl], yt[sl]).T
         degenerate[:, sl] = bad.T
 
     _solve(xt, yt, cfg, keep)

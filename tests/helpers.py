@@ -201,8 +201,9 @@ def lstsq_weighted(Y, X, t, f, cfg: WienerConfig):
 
 def numpy_factor_solve(G, taps, diag_load):
     """wiener._factor_solve as elementwise numpy passes over all units of G,
-    [entry, unit...], overwriting G: the elimination that the compiled kernel
-    makes operation for operation, with the same returns."""
+    [entry, unit...], overwriting G: the load and the elimination that the
+    kernel's factor_solve makes operation for operation, with the same
+    returns."""
     starts = [i * (taps + 1) - i * (i - 1) // 2 for i in range(taps)]
     diag_at = np.array(starts, dtype=np.intp)
     rhs_at = np.array([s + taps - i for i, s in enumerate(starts)], dtype=np.intp)
@@ -244,6 +245,68 @@ def numpy_factor_solve(G, taps, diag_load):
     return h, bad, root
 
 
+def numpy_chunk_stack(xt, yt, sl, taps):
+    """The augmented stack xa [entry, bin, frame] of the bins sl, and their y.
+
+    xt and yt are X and Y transposed to [bin, frame]. xa[k, f, t] = X[t - k, f]
+    for k < taps, zero before frame 0, and xa[taps] = y: the
+    [x_0, ..., x_{taps-1}, y] that numpy_products takes. y is returned apart
+    from xa, which numpy_products conjugates in place.
+    """
+    x, y = xt[sl], yt[sl]
+    n = x.shape[1]
+    xa = np.zeros((taps + 1,) + x.shape, dtype=np.complex128)
+    for k in range(taps):
+        xa[k, :, k:] = x[:, : max(n - k, 0)]
+    xa[taps] = y
+    return xa, y
+
+
+def numpy_products(xa, weights):
+    """Per-frame terms of every unit's normal equations, [entry, unit...], as
+    numpy passes: the products that the kernel's window_sums makes.
+
+    xa stacks the delay stack and y, [x_0, ..., x_{taps-1}, y], over units
+    [unit...]; it is conjugated in place. Row i of the result is
+    w x_i * conj(xa[i:]): the products w x_i conj(x_j) of A[i, i:] (j >= i)
+    followed by the product w x_i conj(y) of b[i].
+    """
+    taps = len(xa) - 1
+    starts = [i * (taps + 1) - i * (i - 1) // 2 for i in range(taps)]
+    wx = xa[:taps] * weights
+    np.conjugate(xa, out=xa)
+    G = np.empty((taps * (taps + 3) // 2,) + xa.shape[1:], dtype=np.complex128)
+    for i, s in enumerate(starts):
+        np.multiply(wx[i], xa[i:], out=G[s : s + taps + 1 - i])
+    return G
+
+
+def numpy_windowed_sums(G, window_frames):
+    """Sliding sums over [t - window_frames, t] of the per-frame terms G along
+    the last axis, formed in place and returned, as the kernel's window_sums
+    forms them: G is summed cumulatively, then blocks of at most
+    window_frames + 1 frames are taken from the end, so each block subtracts
+    frames that are still cumulative sums."""
+    np.cumsum(G, axis=-1, out=G)
+    n = G.shape[-1]
+    span = window_frames + 1
+    for hi in range(n, span, -span):
+        lo = max(span, hi - span)
+        G[..., lo:hi] -= G[..., lo - span : hi - span]
+    return G
+
+
+def numpy_residual(h, xc, y):
+    """y minus the prediction sum_k conj(h_k) x_k, from the conjugated delay
+    stack xc [taps, unit...], as numpy passes: what the kernel's apply_taps
+    makes. Zero-filter units pass y through untouched, bit for bit."""
+    # conj(sum h_k conj(x_k)) is sum conj(h_k) x_k, bit for bit
+    prediction = np.multiply(h, xc).sum(axis=0)
+    res = y - np.conjugate(prediction, out=prediction)
+    np.copyto(res, y, where=~(h != 0).any(axis=0))
+    return res
+
+
 def _fma(a, b, c):
     """a * b + c rounded once, from exact rationals."""
     return float(Fraction(a) * Fraction(b) + Fraction(c))
@@ -251,7 +314,7 @@ def _fma(a, b, c):
 
 @functools.cache
 def numpy_complex_multiply_is_fused():
-    """Whether numpy's complex multiply rounds as the factor kernel does on
+    """Whether numpy's complex multiply rounds as the solver kernel does on
     this host: re = fma(ar, br, -(ai bi)) and im = fma(ar, bi, ai br), each
     with one rounding. Probed on 67 random products, enough to reach both the
     vector loop and its tail, in the plain and the in-place form."""

@@ -365,9 +365,17 @@ def test_run_names_the_manifest_line_it_rejects(tmp_path, capsys, bad, reason):
         ("eval", {"scenario": "DT", "files": {"sd": "sd.wav"}}, "missing files.y"),
         ("eval", {"scenario": "DT", "files": {"y": "y.wav"}}, "missing files.sd"),
         ("eval", {"files": {"y": "y.wav", "sd": "sd.wav"}}, "missing scenario"),
+        ("run", {"files": {"y": 3, "x": "x.wav", "r": "r.wav"}}, "files.y is not a string"),
+        ("eval", {"scenario": "DT", "files": {"y": "y.wav", "sd": None}},
+         "files.sd is not a string"),
+        ("eval", {"scenario": "XX", "files": {"y": "y.wav", "sd": "sd.wav"}},
+         "unknown scenario 'XX'"),
+        ("eval", {"scenario": ["DT"], "files": {"y": "y.wav", "sd": "sd.wav"}},
+         "unknown scenario ['DT']"),
     ],
     ids=["run_files_not_an_object", "run_no_y", "run_no_x_or_r", "eval_files_not_an_object",
-         "eval_no_y", "eval_no_sd", "eval_no_scenario"],
+         "eval_no_y", "eval_no_sd", "eval_no_scenario", "run_y_not_a_string",
+         "eval_sd_not_a_string", "eval_unknown_scenario", "eval_scenario_not_a_string"],
 )
 def test_commands_name_the_manifest_key_they_miss(tmp_path, capsys, command, bad, reason):
     # the rejection comes before any output: no --out tree, no report

@@ -1,4 +1,4 @@
-"""Building, caching and loading the compiled factor kernel (refaec._factor)."""
+"""Building, caching and loading the compiled solver kernel (refaec._factor)."""
 
 import json
 import os
@@ -32,10 +32,10 @@ def logged(argv, **kwargs):
     return run(argv, **kwargs)
 
 subprocess.run = logged
-factor_solve = _factor.load()
+factor_solve = _factor.load().factor_solve
 g = np.array([[4], [1 + 1j], [1], [3], [2j]], dtype=complex)
 h = np.empty((2, 1), dtype=complex)
-factor_solve(g, h, np.empty((2, 1)), 2, 1)
+factor_solve(g, 0.0, h, np.empty((2, 1)), np.empty(1, dtype=bool), 2, 1)
 try:
     os.waitpid(-1, os.WNOHANG)
     children = True
@@ -96,9 +96,9 @@ def test_processes_that_build_at_once_both_load_a_working_object(tmp_path):
 def test_an_unwritable_cache_builds_in_a_temporary_directory(tmp_path, monkeypatch):
     (tmp_path / "file").write_text("")
     monkeypatch.setattr(_factor, "CACHE_DIR", tmp_path / "file" / "cache")
-    factor_solve = _factor.load()
+    factor_solve = _factor.load().factor_solve
     g = np.array([[4.0], [2.0]], dtype=complex)  # A = 4 (its root 2), b = 2
     h = np.empty((1, 1), dtype=complex)
-    factor_solve(g, h, np.empty((1, 1)), 1, 1)
+    factor_solve(g, 0.0, h, np.empty((1, 1)), np.empty(1, dtype=bool), 1, 1)
     assert h[0, 0] == 0.5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

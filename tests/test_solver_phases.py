@@ -1,5 +1,6 @@
-"""The phases of the Wiener solver, each called on its own: the augmented
-products, factor-and-solve and the residual, on hand-built buffers."""
+"""The phases of the Wiener solver, each called on its own: the window sums
+of the augmented products, factor-and-solve and the residual, on hand-built
+buffers, against their numpy statements in helpers."""
 
 import hashlib
 import os
@@ -12,21 +13,18 @@ import numpy as np
 import pytest
 from helpers import (
     dense_normal_equations,
+    numpy_chunk_stack,
     numpy_complex_multiply_is_fused,
     numpy_factor_solve,
+    numpy_products,
+    numpy_residual,
+    numpy_windowed_sums,
     random_spectrogram,
     window_normal_equations,
 )
 
-from refaec import StftConfig, WienerConfig
-from refaec.wiener import (
-    _chunk_stack,
-    _factor_solve,
-    _products,
-    _residual,
-    _windowed_sums,
-    lambda_weights,
-)
+from refaec import StftConfig, WienerConfig, wstws_cancel
+from refaec.wiener import _apply_taps, _build_sums, _factor_solve, lambda_weights
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -157,9 +155,18 @@ def _window_sums(rng, taps):
     units, truncated windows and frames of rank below taps."""
     n_bins, n_frames, window = 3, taps + 45, taps + 10
     xt, yt = (rng.standard_normal((n_bins, n_frames, 2)).view(complex)[..., 0] for _ in range(2))
-    xa, y = _chunk_stack(xt, yt, slice(None), taps)
-    G = _windowed_sums(_products(xa, 1.0 / lambda_weights(y, window)), window)
+    G = _build_sums(xt, yt, 1.0 / lambda_weights(yt, window), taps, window)
     return G.reshape(len(G), -1)
+
+
+def _assert_matches_numpy_statement(got, expected):
+    """The kernel's output against its numpy statement: the same bits where
+    numpy rounds complex products as the kernel does, and within criterion
+    1's bound where it does not."""
+    if numpy_complex_multiply_is_fused():
+        assert got.tobytes() == expected.tobytes()
+    else:
+        assert _rel_err(got, expected) < 1e-6
 
 
 def _assert_kernel_matches_numpy(G, taps, diag_load):
@@ -202,37 +209,57 @@ def test_kernel_matches_the_numpy_elimination_on_a_degenerate_unit(rng, spoil):
     _assert_kernel_matches_numpy(G, taps, 1e-6)
 
 
+# the stws route of a 20-tap canceller
+DISPATCH_CFG = WienerConfig(taps=20, window_frames=40, weighted=False)
+
+
+def _dispatch_digest(G, Y, X, taps):
+    """One digest of _factor_solve's outputs on G, at diag_load 0 and 1e-6,
+    and of the residual, taps and flags of wstws_cancel(Y, X, DISPATCH_CFG)."""
+    digest = hashlib.sha256()
+    for load in (0.0, 1e-6):
+        for out in _factor_solve(G, taps, load):
+            digest.update(out.tobytes())
+    residual, bank = wstws_cancel(Y, X, DISPATCH_CFG)
+    for out in (residual.data, bank.taps, bank.degenerate):
+        digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.skipif(platform.machine() != "x86_64", reason="the features disabled are x86's")
 def test_kernel_bits_do_not_follow_numpy_dispatch(rng, tmp_path):
     # numpy's complex multiply without AVX-512 or AVX2/FMA rounds otherwise;
-    # the window sums are saved so that both processes solve the same bits
+    # the window sums and spectrograms are saved so that both processes take
+    # the same bits. X's silent bins are flagged.
     taps = 20
+    stft = StftConfig(window_len=28, hop=14)  # 15 bins
+    Y, X = (random_spectrogram(rng, 120, stft) for _ in range(2))
+    X.data[:, 5:7] = 0.0
     np.save(tmp_path / "G.npy", _window_sums(rng, taps))
+    np.save(tmp_path / "Y.npy", Y.data)
+    np.save(tmp_path / "X.npy", X.data)
     script = (
-        "import hashlib, sys\n"
+        "import sys\n"
         "import numpy as np\n"
-        "from refaec.wiener import _factor_solve\n"
-        "digest = hashlib.sha256()\n"
-        "for load in (0.0, 1e-6):\n"
-        "    for out in _factor_solve(np.load(sys.argv[1]), int(sys.argv[2]), load):\n"
-        "        digest.update(out.tobytes())\n"
-        "print(digest.hexdigest())\n"
+        "from test_solver_phases import _dispatch_digest\n"
+        "from refaec import Spectrogram, StftConfig\n"
+        "Y, X = (Spectrogram(np.load(f'{sys.argv[1]}/{n}.npy'), StftConfig(window_len=28, hop=14))\n"
+        "        for n in 'YX')\n"
+        "print(_dispatch_digest(np.load(f'{sys.argv[1]}/G.npy'), Y, X, int(sys.argv[2])))\n"
     )
+    tests = Path(__file__).resolve().parent
     env = {
         **os.environ,
-        "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+        "PYTHONPATH": os.pathsep.join([str(SRC), str(tests), os.environ.get("PYTHONPATH", "")]),
         "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
     }
     there = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "G.npy"), str(taps)],
+        [sys.executable, "-c", script, str(tmp_path), str(taps)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert there.returncode == 0, there.stderr
-    digest = hashlib.sha256()
-    for load in (0.0, 1e-6):
-        for out in _factor_solve(np.load(tmp_path / "G.npy"), taps, load):
-            digest.update(out.tobytes())
-    assert there.stdout.strip() == digest.hexdigest()
+    here = _dispatch_digest(np.load(tmp_path / "G.npy"), Y, X, taps)
+    assert there.stdout.strip() == here
 
 
 def test_products_match_a_direct_loop(rng):
@@ -240,7 +267,7 @@ def test_products_match_a_direct_loop(rng):
     xa = rng.standard_normal((taps + 1,) + shape) + 1j * rng.standard_normal((taps + 1,) + shape)
     w = rng.uniform(0.1, 2.0, shape)
     original = xa.copy()
-    G = _products(xa, w)
+    G = numpy_products(xa, w)
     assert np.array_equal(xa, original.conj())  # conjugated in place
     rows = []
     for i in range(taps):
@@ -249,16 +276,50 @@ def test_products_match_a_direct_loop(rng):
     assert np.array_equal(G, np.stack(rows))
 
 
+def _direct_window_sums(P, window):
+    n_frames = P.shape[-1]
+    return np.stack(
+        [P[..., max(0, t - window) : t + 1].sum(axis=-1) for t in range(n_frames)], axis=-1
+    )
+
+
+# the window reaches past the stream, a one-frame window, lengths that are
+# and are not whole numbers of window_frames + 1; one tap, and more taps
+# than frames
+@pytest.mark.parametrize(
+    "taps, n_frames, window", [(2, 10, 12), (3, 10, 9), (1, 17, 1), (4, 23, 4), (2, 30, 5), (12, 9, 3)]
+)
+@pytest.mark.parametrize("weighted", [True, False])
+def test_build_sums_match_the_numpy_statement(rng, taps, n_frames, window, weighted):
+    n_bins = 3
+    xt, yt = (rng.standard_normal((n_bins, n_frames, 2)).view(complex)[..., 0] for _ in range(2))
+    xt[1, :4] = 0.0  # zero frames, and a delay stack that reads them
+    weights = 1.0 / lambda_weights(yt, window) if weighted else np.ones(yt.shape)
+    G = _build_sums(xt, yt, weights, taps, window)
+    assert G.shape == (taps * (taps + 3) // 2, n_bins, n_frames)
+    # the unweighted route's numpy statement multiplies by the scalar 1.0
+    xa, _ = numpy_chunk_stack(xt, yt, slice(None), taps)
+    P = numpy_products(xa, weights if weighted else 1.0)
+    _assert_matches_numpy_statement(G, numpy_windowed_sums(P.copy(), window))
+    # on any host: the sliding sums over [t - window, t] of the products
+    assert np.allclose(G, _direct_window_sums(P, window), rtol=0, atol=1e-12)
+
+
 def test_residual_subtracts_the_prediction(rng):
-    taps, n_units = 3, 6
-    shape = (taps, n_units)
-    xc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    taps, n_bins, n_frames = 3, 2, 5
+    shape = (taps, n_bins, n_frames)
+    x = rng.standard_normal((n_bins, n_frames)) + 1j * rng.standard_normal((n_bins, n_frames))
     h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    y = rng.standard_normal(n_units) + 1j * rng.standard_normal(n_units)
-    h[:, 2] = 0.0
-    res = _residual(h, xc, y)
-    expected = y - np.sum(h.conj() * xc.conj(), axis=0)
+    y = rng.standard_normal((n_bins, n_frames)) + 1j * rng.standard_normal((n_bins, n_frames))
+    h[:, 1, 2] = 0.0
+    y[1, 2] = complex(-0.0, -0.0)
+    res = _apply_taps(h, x, y)
+    expected = y.copy()
+    for k in range(taps):
+        expected[:, k:] -= h[k, :, k:].conj() * x[:, : n_frames - k]
     assert np.allclose(res, expected, rtol=1e-13, atol=1e-13)
     # a zero filter passes y through, bit for bit
-    assert res[2] == y[2]
-    assert np.array_equal(np.signbit(res[2:3].view(float)), np.signbit(y[2:3].view(float)))
+    assert res[1, 2] == y[1, 2]
+    assert np.array_equal(np.signbit(res[1, 2:3].view(float)), np.signbit(y[1, 2:3].view(float)))
+    xa, _ = numpy_chunk_stack(x, y, slice(None), taps)
+    _assert_matches_numpy_statement(res, numpy_residual(h, xa[:taps].conj(), y))

@@ -9,6 +9,8 @@ from helpers import (
     dense_normal_equations,
     lambda_weight,
     lstsq_weighted,
+    numpy_chunk_stack,
+    numpy_windowed_sums,
     random_spectrogram,
 )
 
@@ -181,17 +183,17 @@ def test_causality_bit_identical_prefix(rng):
     assert np.array_equal(bank_a.taps[:t_perturb], bank_b.taps[:t_perturb])
 
 
-def _record_windowed_sums(monkeypatch):
+def _record_build_sums(monkeypatch):
     """Returns the ids of the threads that build window sums (one call per
     chunk)."""
-    real = wiener._windowed_sums
+    real = wiener._build_sums
     threads = []
 
-    def recorded(G, window_frames):
+    def recorded(*args):
         threads.append(threading.get_ident())
-        return real(G, window_frames)
+        return real(*args)
 
-    monkeypatch.setattr(wiener, "_windowed_sums", recorded)
+    monkeypatch.setattr(wiener, "_build_sums", recorded)
     return threads
 
 
@@ -201,7 +203,7 @@ def _split_work(monkeypatch, chunk_bytes, workers):
     monkeypatch.setattr(wiener, "_CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(wiener, "_CHUNK_UNITS", 1)
     monkeypatch.setattr(wiener, "_n_workers", lambda: workers)
-    return _record_windowed_sums(monkeypatch)
+    return _record_build_sums(monkeypatch)
 
 
 def _zero_band_no_load(Y, X, cfg):
@@ -272,7 +274,7 @@ def test_windowed_sums_are_sliding_window_sums(rng, n_frames, window):
     shape = (3, 5, n_frames)
     G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     buf = G.copy()
-    out = wiener._windowed_sums(buf, window)
+    out = numpy_windowed_sums(buf, window)
     assert out is buf
     direct = np.stack(
         [G[..., max(0, t - window) : t + 1].sum(axis=-1) for t in range(n_frames)], axis=-1
@@ -320,7 +322,7 @@ def test_chunk_stack_matches_delay_stack(rng, sl):
     Y = random_spectrogram(rng, n_frames)
     X = random_spectrogram(rng, n_frames)
     bins = range(X.n_bins)[sl]
-    xa, y = wiener._chunk_stack(X.data.T, Y.data.T, sl, taps)
+    xa, y = numpy_chunk_stack(X.data.T, Y.data.T, sl, taps)
     assert xa.shape == (taps + 1, len(bins), n_frames)
     for t in range(n_frames):
         for j, f in enumerate(bins):
@@ -330,10 +332,10 @@ def test_chunk_stack_matches_delay_stack(rng, sl):
     assert np.array_equal(xa[taps], Y.data[:, sl].T)
     assert np.array_equal(y, Y.data[:, sl].T)
     # one tap is X itself
-    xa1, _ = wiener._chunk_stack(X.data.T, Y.data.T, sl, 1)
+    xa1, _ = numpy_chunk_stack(X.data.T, Y.data.T, sl, 1)
     assert np.array_equal(xa1[0], X.data[:, sl].T)
     # more taps than frames: the late lags are all zero
-    xa_short, _ = wiener._chunk_stack(X.data[:2].T, Y.data[:2].T, sl, taps)
+    xa_short, _ = numpy_chunk_stack(X.data[:2].T, Y.data[:2].T, sl, taps)
     assert np.array_equal(xa_short[0], X.data[:2, sl].T)
     assert np.array_equal(xa_short[1, :, 1], X.data[0, sl])
     assert np.all(xa_short[1, :, 0] == 0) and np.all(xa_short[2:taps] == 0)
@@ -364,7 +366,7 @@ def test_taps_are_solved_once(rng, monkeypatch):
     Y = random_spectrogram(rng, 20)
     X = random_spectrogram(rng, 20)
     _, bank = wstws_cancel(Y, X, WienerConfig(taps=2, window_frames=4))
-    threads = _record_windowed_sums(monkeypatch)
+    threads = _record_build_sums(monkeypatch)
     first = bank.taps
     calls = len(threads)
     assert calls > 0

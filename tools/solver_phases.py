@@ -12,19 +12,20 @@ call's chunk count and the median over ROUNDS calls, in ms, of each phase's
 time summed over its calls and threads, and of the wall time:
 
 - weights: each chunk's lambda weights, from its own y (lambda_weights);
-- stack: each chunk's delay stack and y (_chunk_stack);
-- build: the per-frame products of the augmented buffer (_products);
-- window sums: the cumulative and sliding sums along frames (_windowed_sums);
-- factor+solve: the load and the degenerate flags in numpy, and the
-  Cholesky and substitutions in the compiled kernel of _factor.c
-  (_factor_solve; the kernel is loaded before the first timed call);
-- predict: the prediction and the residual (_residual).
+- build+sums: the per-frame products of the augmented buffer, read from X
+  and Y at each tap's delay, and their running and sliding sums along frames
+  (_build_sums, the kernel's window_sums);
+- factor+solve: the load, the Cholesky and substitutions and the degenerate
+  flags (_factor_solve, the kernel's factor_solve);
+- predict: the prediction and the residual (_apply_taps, the kernel's
+  apply_taps).
 
-On one thread, the wall time minus the phases is the call's other work: the
-transposes of X and Y and the copies of each chunk's residual and degenerate
-flags (the call builds no taps, and the tool does not read them). On
-the pool, a phase's time above its one-thread figure is time its threads lost
-to each other.
+The kernel of _factor.c is loaded before the first timed call. On one
+thread, the wall time minus the phases is the call's other work: the
+transposes of X and Y, each chunk's weights or ones and the copies of its
+residual and degenerate flags (the call builds no taps, and the tool does
+not read them). On the pool, a phase's time above its one-thread figure is
+time its threads lost to each other.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ ROUNDS = 7
 # read at import, so renaming a phase function breaks the import
 PHASES = {
     "weights": wiener.lambda_weights,
-    "stack": wiener._chunk_stack,
-    "build": wiener._products,
-    "window sums": wiener._windowed_sums,
+    "build+sums": wiener._build_sums,
     "factor+solve": wiener._factor_solve,
-    "predict": wiener._residual,
+    "predict": wiener._apply_taps,
 }
 
 
@@ -72,7 +71,7 @@ def _call(Y: Spectrogram, X: Spectrogram, cfg: WienerConfig, spent) -> list[floa
     t0 = time.perf_counter()
     wiener.wstws_cancel(Y, X, cfg)
     wall = time.perf_counter() - t0
-    return [len(spent["stack"])] + [sum(spent[name]) for name in PHASES] + [wall]
+    return [len(spent["build+sums"])] + [sum(spent[name]) for name in PHASES] + [wall]
 
 
 def main() -> None:
