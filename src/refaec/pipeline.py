@@ -294,7 +294,8 @@ def synth_dataset(
 
 def read_manifest(path, files=(), keys=()) -> list[dict]:
     """The records of a manifest, a JSON object with a unique `scene_id` and its
-    `files` object on each non-blank line. Each record must also hold `keys`,
+    `files` object on each non-blank line. The scene id names the scene's
+    outputs, so it must be a file name. Each record must also hold `keys`,
     and its `files` the names in `files`, each a string; a `scenario` in `keys`
     must be one of metrics.SCENARIOS. A bad line raises `<path>:<lineno>: ...`."""
     records = {}
@@ -308,8 +309,12 @@ def read_manifest(path, files=(), keys=()) -> list[dict]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
             if not isinstance(rec, dict) or not {"scene_id", "files"} <= rec.keys():
                 raise ValueError(f"{path}:{lineno}: expected an object with scene_id and files")
-            if rec["scene_id"] in records:
-                raise ValueError(f"{path}:{lineno}: duplicate scene id {rec['scene_id']!r}")
+            sid = rec["scene_id"]
+            # no directory part, and not . or ..
+            if not isinstance(sid, str) or sid in ("", ".", "..") or Path(sid).name != sid:
+                raise ValueError(f"{path}:{lineno}: scene_id {sid!r} is not a file name")
+            if sid in records:
+                raise ValueError(f"{path}:{lineno}: duplicate scene id {sid!r}")
             if not isinstance(rec["files"], dict):
                 raise ValueError(f"{path}:{lineno}: files is not an object")
             missing = [k for k in keys if k not in rec]
@@ -321,7 +326,7 @@ def read_manifest(path, files=(), keys=()) -> list[dict]:
                     raise ValueError(f"{path}:{lineno}: files.{name} is not a string")
             if "scenario" in keys and rec["scenario"] not in SCENARIOS:
                 raise ValueError(f"{path}:{lineno}: unknown scenario {rec['scenario']!r}")
-            records[rec["scene_id"]] = rec
+            records[sid] = rec
     return list(records.values())
 
 
@@ -401,11 +406,13 @@ def parse_config_file(path) -> RunConfig:
     """The default RunConfig with the file's flat key-value overrides.
 
     Every key is a dotted `section.field` path (for example
-    `wiener_main.taps = 8`); blank lines and `#` comments are ignored.
+    `wiener_main.taps = 8`), set on one line only; blank lines and `#`
+    comments are ignored.
     """
     cfg = RunConfig()
     sections = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     overrides: dict[str, dict] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -418,6 +425,11 @@ def parse_config_file(path) -> RunConfig:
             sub = sections.get(section)
             if sub is None or fname not in {f.name for f in dataclasses.fields(sub)}:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate key {key!r} (first on line {first_line[key]})"
+                )
+            first_line[key] = lineno
             try:
                 coerced = _coerce(value, type(getattr(sub, fname)))
             except ValueError as exc:

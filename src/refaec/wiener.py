@@ -5,13 +5,13 @@ Two solver flavours share one machinery: the plain short-time Wiener solution
 divides each frame's squared error by an energy-tracking weight so that
 low-energy units do not dominate the fit.
 
-wstws_cancel solves every unit's normal equations A h = b at once, a chunk of
-bins at a time, in _solve. _chunk_slices plans the chunks, and
-lambda_weights derives each chunk's weights from its own y (the unweighted
-route weights every frame by one). Three phases follow, each one call into
-the compiled kernel of _factor.c, over an [entry, bin, frame] buffer that
-holds the Hermitian A as its packed upper triangle with b[i] at the end of
-row i: _build_sums forms the per-frame products, reading X and Y at each
+wstws_cancel solves every unit's normal equations A h = b at once, in _solve.
+It works out the weights of every unit once, from lambda_weights (the
+unweighted route weights every frame by one), then solves a chunk of bins at
+a time, as _chunk_slices plans them. A chunk is three calls into the compiled
+kernel of _factor.c, over an [entry, bin, frame] buffer that holds the
+Hermitian A as its packed upper triangle with b[i] at the end of row i:
+_build_sums forms the per-frame products, reading X and Y at each
 tap's delay, and sums them over each sliding window; _factor_solve loads A
 and solves by a Cholesky factorisation A = R^H R over tiles of units; and
 _apply_taps applies the taps. A unit whose loaded A is not numerically
@@ -44,14 +44,11 @@ WEIGHT_FLOOR = 1e-12
 
 # Bins are solved in chunks. A chunk's buffer holds, per bin and frame, the
 # packed upper triangle of the tap covariance and the cross-correlation
-# vector, 16 * rows * frames * bins bytes (rows from _rows); it stays near
-# _CHUNK_BYTES, but spans at least _CHUNK_UNITS frame-bins so that a chunk's
-# interpreter work (its weights, buffers and kernel calls) stays small next to
-# the kernel's. At least one bin per chunk, at least one
-# chunk per worker. Every bin's arithmetic is the same whatever the chunking,
-# so outputs do not depend on the budget, the floor or the worker count.
+# vector, 16 * rows * frames * bins bytes (rows from _rows), and stays within
+# _CHUNK_BYTES: at least one bin per chunk, at least one chunk per worker.
+# Every bin's arithmetic is the same whatever the chunking, so outputs do not
+# depend on the budget or the worker count.
 _CHUNK_BYTES = 3 * 1024 * 1024
-_CHUNK_UNITS = 2048
 
 
 def _n_workers() -> int:
@@ -136,10 +133,8 @@ def lambda_weights(y: np.ndarray, window_frames: int) -> np.ndarray:
 
 
 def _chunk_slices(taps: int, n_frames: int, n_bins: int, workers: int) -> list[slice]:
-    """The bins of each chunk, under the budget and floor described above."""
-    bin_bytes = 16 * _rows(taps) * n_frames
-    bins = max(_CHUNK_BYTES // bin_bytes, -(-_CHUNK_UNITS // n_frames))
-    bins = max(1, min(bins, -(-n_bins // workers)))
+    """The bins of each chunk, under the budget described above."""
+    bins = max(1, min(_CHUNK_BYTES // (16 * _rows(taps) * n_frames), -(-n_bins // workers)))
     return [slice(lo, min(n_bins, lo + bins)) for lo in range(0, n_bins, bins)]
 
 
@@ -198,19 +193,18 @@ def _apply_taps(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _solve(xt: np.ndarray, yt: np.ndarray, cfg: WienerConfig, keep: Callable[..., None]) -> None:
     """Solve every unit of X and Y transposed to [bin, frame], a chunk of bins
-    at a time, each chunk weighted from its own y; keep(sl, h, bad) takes each
-    chunk's taps [taps, bin, frame] and degenerate mask."""
+    at a time; keep(sl, h, bad) takes each chunk's taps [taps, bin, frame] and
+    degenerate mask."""
     taps = cfg.taps
     # a child process, such as a scene worker, solves on one thread: the
     # scene pool already runs one worker per CPU
     workers = 1 if multiprocessing.parent_process() else _n_workers()
     n_bins, n_frames = xt.shape
     slices = _chunk_slices(taps, n_frames, n_bins, workers)
+    weights = 1.0 / lambda_weights(yt, cfg.window_frames) if cfg.weighted else np.ones(yt.shape)
 
     def solve_chunk(sl: slice) -> None:
-        y = yt[sl]
-        weights = 1.0 / lambda_weights(y, cfg.window_frames) if cfg.weighted else np.ones(y.shape)
-        G = _build_sums(xt[sl], y, weights, taps, cfg.window_frames)
+        G = _build_sums(xt[sl], yt[sl], weights[sl], taps, cfg.window_frames)
         h, bad, _ = _factor_solve(G, taps, cfg.diag_load)
         del G
         keep(sl, h, bad)

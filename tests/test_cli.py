@@ -372,10 +372,18 @@ def test_run_names_the_manifest_line_it_rejects(tmp_path, capsys, bad, reason):
          "unknown scenario 'XX'"),
         ("eval", {"scenario": ["DT"], "files": {"y": "y.wav", "sd": "sd.wav"}},
          "unknown scenario ['DT']"),
+        # the scene id names the outputs in --out, so it must be a file name
+        *(("run", {"scene_id": sid, "files": GOOD_RECORD["run"]["files"]},
+           f"scene_id {sid!r} is not a file name")
+          for sid in ("../escaped", "a/b", "/abs", "..", ".", "", 7)),
+        ("eval", {"scene_id": "../a", "scenario": "DT", "files": {"y": "y.wav", "sd": "sd.wav"}},
+         "scene_id '../a' is not a file name"),
     ],
     ids=["run_files_not_an_object", "run_no_y", "run_no_x_or_r", "eval_files_not_an_object",
          "eval_no_y", "eval_no_sd", "eval_no_scenario", "run_y_not_a_string",
-         "eval_sd_not_a_string", "eval_unknown_scenario", "eval_scenario_not_a_string"],
+         "eval_sd_not_a_string", "eval_unknown_scenario", "eval_scenario_not_a_string",
+         "run_id_walks_up", "run_id_in_a_subdirectory", "run_id_absolute", "run_id_dot_dot",
+         "run_id_dot", "run_id_empty", "run_id_a_number", "eval_id_walks_up"],
 )
 def test_commands_name_the_manifest_key_they_miss(tmp_path, capsys, command, bad, reason):
     # the rejection comes before any output: no --out tree, no report

@@ -663,6 +663,9 @@ def test_config_file_errors_name_their_line_and_section(tmp_path):
         ("wiener_main.floor = 0.01", f"{bad}:2: unknown key 'wiener_main.floor'"),
         ("stft.hop = 80", f"{bad}:2: unknown key 'stft.hop'"),
         ("stft.window_len = 256", f"{bad}:2: unknown key 'stft.window_len'"),
+        # a key is set once, not overridden by a later line
+        ("wiener_main.taps = 8\nwiener_main.taps = 12",
+         f"{bad}:3: duplicate key 'wiener_main.taps' (first on line 2)"),
     ]
     for line, message in cases:
         bad.write_text(f"# one bad line\n{line}\n")

@@ -198,10 +198,9 @@ def _record_build_sums(monkeypatch):
 
 
 def _split_work(monkeypatch, chunk_bytes, workers):
-    """Set the chunk budget (with a floor of one frame-bin) and the worker
-    count; returns the ids of the threads that build window sums."""
+    """Set the chunk budget and the worker count; returns the ids of the
+    threads that build window sums."""
     monkeypatch.setattr(wiener, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(wiener, "_CHUNK_UNITS", 1)
     monkeypatch.setattr(wiener, "_n_workers", lambda: workers)
     return _record_build_sums(monkeypatch)
 
@@ -261,6 +260,28 @@ def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
         assert bank_b.degenerate[:, :40].any() and not bank_b.degenerate[:, :40].all()
 
 
+def test_weights_are_worked_out_once_per_call_on_the_calling_thread(rng, monkeypatch):
+    Y = random_spectrogram(rng, 40)
+    X = random_spectrogram(rng, 40)
+    cfg = WienerConfig(taps=3, window_frames=8)
+    real = wiener.lambda_weights
+    weight_threads = []
+
+    def recorded(*args):
+        weight_threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(wiener, "lambda_weights", recorded)
+    # one-bin chunks on 2 workers
+    chunk_threads = _split_work(monkeypatch, 1, 2)
+    wstws_cancel(Y, X, cfg)
+    assert len(chunk_threads) == Y.n_bins and threading.get_ident() not in chunk_threads
+    assert weight_threads == [threading.get_ident()]
+    weight_threads.clear()
+    wstws_cancel(Y, X, stws_config(cfg))
+    assert weight_threads == []
+
+
 def test_zero_frames_stop_before_the_solver(rng):
     Y = random_spectrogram(rng, 3)
     with pytest.raises(ValueError, match="with frames"):
@@ -292,8 +313,8 @@ def test_windowed_sums_are_sliding_window_sums(rng, n_frames, window):
         (1, 599, 81),
         (6, 599, 12),
         (8, 249, 17),
-        (20, 99, 21),
-        (20, 599, 4),
+        (20, 99, 8),
+        (20, 599, 1),
         (20, 6000, 1),
     ],
 )
@@ -303,10 +324,9 @@ def test_chunk_plan(taps, n_frames, bins):
     assert sizes[0] == bins and max(sizes) == bins and min(sizes) > 0
     # the slices tile 0 ... n_bins in order
     assert [s.start for s in slices] + [161] == [0] + [s.stop for s in slices]
-    # no chunk takes more than the 20-tap chunk of a 6 s scene (4 bins of 599
-    # frames), unless one bin alone does
+    # no chunk takes more than the budget, unless one bin alone does
     bin_bytes = 16 * (taps * (taps + 3) // 2) * n_frames
-    assert bins * bin_bytes <= 4 * 16 * 230 * 599 or bins == 1
+    assert bins * bin_bytes <= wiener._CHUNK_BYTES or bins == 1
     # two or more workers always get two or more chunks, down to the
     # smallest grid's 2 bins, so _solve needs no one-chunk case
     for workers in (2, 3, 4):
@@ -391,7 +411,7 @@ def test_call_builds_no_tap_tensor(rng, monkeypatch):
 
 def test_weighted_bank_holds_no_more_than_unweighted(rng, monkeypatch):
     # a [bin, frame] float64 weight array held by the bank would be
-    # 200 * 161 * 8 = 257.6 kB; each chunk derives its weights from its own y.
+    # 200 * 161 * 8 = 257.6 kB; the call works the weights out and drops them.
     # The interpreter's own small objects move either figure by some 100 B.
     monkeypatch.setattr(wiener, "_n_workers", lambda: 1)
     Y = random_spectrogram(rng, 200)

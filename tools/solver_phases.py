@@ -11,7 +11,8 @@ return 1), then on its own pool of one thread per CPU. Each line gives the
 call's chunk count and the median over ROUNDS calls, in ms, of each phase's
 time summed over its calls and threads, and of the wall time:
 
-- weights: each chunk's lambda weights, from its own y (lambda_weights);
+- weights: the call's lambda weights, one call per wstws_cancel on the
+  calling thread (lambda_weights);
 - build+sums: the per-frame products of the augmented buffer, read from X
   and Y at each tap's delay, and their running and sliding sums along frames
   (_build_sums, the kernel's window_sums);
@@ -22,8 +23,8 @@ time summed over its calls and threads, and of the wall time:
 
 The kernel of _factor.c is loaded before the first timed call. On one
 thread, the wall time minus the phases is the call's other work: the
-transposes of X and Y, each chunk's weights or ones and the copies of its
-residual and degenerate flags (the call builds no taps, and the tool does
+transposes of X and Y, the weights' reciprocal or ones and the copies of each
+chunk's residual and degenerate flags (the call builds no taps, and the tool does
 not read them). On the pool, a phase's time above its one-thread figure is
 time its threads lost to each other.
 """
