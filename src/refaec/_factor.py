@@ -42,9 +42,9 @@ class Kernel(NamedTuple):
     the call and raises MemoryError where the C function cannot allocate its
     scratch."""
 
-    window_sums: Callable[..., int]  # (x, y, w, g, taps, window, bins, frames)
-    factor_solve: Callable[..., int]  # (g, diag_load, h, root, bad, taps, n)
-    apply_taps: Callable[..., int]  # (x, y, h, res, taps, bins, frames)
+    # (x, y, w, diag_load, res, bad, h or None, taps, window, bins, frames, width)
+    solve_bins: Callable[..., int]
+    factor_solve: Callable[..., int]  # (g, diag_load, h, bad, taps, n)
 
 
 def kernel() -> Kernel:
@@ -111,11 +111,21 @@ def _open(path: Path) -> Kernel:
     c = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
     r = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     flags = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")
+    # solve_bins writes a slice of bins of frame-major outputs, which takes
+    # strided views, and None for h passes NULL
+    out = np.ctypeslib.ndpointer(np.complex128)
+    out_flags = np.ctypeslib.ndpointer(np.bool_)
+
+    class OutOrNull(out):
+        @classmethod
+        def from_param(cls, a):
+            return None if a is None else out.from_param(a)
+
     size = ctypes.c_ssize_t
     argtypes = {
-        "window_sums": [c, c, r, c, size, size, size, size],
-        "factor_solve": [c, ctypes.c_double, c, r, flags, size, size],
-        "apply_taps": [c, c, c, c, size, size, size],
+        "solve_bins": [c, c, r, ctypes.c_double, out, out_flags, OutOrNull,
+                       size, size, size, size, size],
+        "factor_solve": [c, ctypes.c_double, c, flags, size, size],
     }
     for name, types in argtypes.items():
         fn = getattr(lib, name)

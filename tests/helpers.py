@@ -200,10 +200,10 @@ def lstsq_weighted(Y, X, t, f, cfg: WienerConfig):
 
 
 def numpy_factor_solve(G, taps, diag_load):
-    """wiener._factor_solve as elementwise numpy passes over all units of G,
-    [entry, unit...], overwriting G: the load and the elimination that the
-    kernel's factor_solve makes operation for operation, with the same
-    returns."""
+    """The load and the elimination of every unit's augmented buffer G,
+    [entry, unit...], as elementwise numpy passes that overwrite G: what the
+    kernel makes operation for operation. Returns the taps [taps, unit...] and
+    the degenerate mask [unit...]; a flagged unit gets the zero filter."""
     starts = [i * (taps + 1) - i * (i - 1) // 2 for i in range(taps)]
     diag_at = np.array(starts, dtype=np.intp)
     rhs_at = np.array([s + taps - i for i, s in enumerate(starts)], dtype=np.intp)
@@ -219,10 +219,10 @@ def numpy_factor_solve(G, taps, diag_load):
     # A = R^H R, right-looking and in place: row i becomes R[i, i:]
     # followed by z[i], the forward solution of R^H z = b, because b[i] ends
     # the row that the pivot scales and b[k] ends each trailing row it
-    # updates. 1 / R[i, i] goes to inv[i]. A non-positive pivot turns its
-    # unit to inf/nan here; the unit is zeroed below.
+    # updates. 1 / R[i, i] goes to inv[i]. A non-positive pivot, or a value
+    # that overflows, turns its unit to inf/nan here; the unit is zeroed below.
     inv = np.empty((taps,) + G.shape[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, s in enumerate(starts):
             np.divide(1.0, np.sqrt(real[s], out=real[s]), out=inv[i])
             r = G[s + 1 : s + taps + 1 - i]
@@ -238,11 +238,10 @@ def numpy_factor_solve(G, taps, diag_load):
                 column = G[above[i]]
                 column *= h[i]
                 h[:i] -= column
-    root = real[diag_at]
-    bad |= ~(root > 0.0).all(axis=0)
+    bad |= ~(real[diag_at] > 0.0).all(axis=0)
     bad |= ~np.isfinite(h).all(axis=0)
     h[:, bad] = 0.0
-    return h, bad, root
+    return h, bad
 
 
 def numpy_chunk_stack(xt, yt, sl, taps):
@@ -264,7 +263,7 @@ def numpy_chunk_stack(xt, yt, sl, taps):
 
 def numpy_products(xa, weights):
     """Per-frame terms of every unit's normal equations, [entry, unit...], as
-    numpy passes: the products that the kernel's window_sums makes.
+    numpy passes: the products that the kernel makes.
 
     xa stacks the delay stack and y, [x_0, ..., x_{taps-1}, y], over units
     [unit...]; it is conjugated in place. Row i of the result is
@@ -283,10 +282,11 @@ def numpy_products(xa, weights):
 
 def numpy_windowed_sums(G, window_frames):
     """Sliding sums over [t - window_frames, t] of the per-frame terms G along
-    the last axis, formed in place and returned, as the kernel's window_sums
-    forms them: G is summed cumulatively, then blocks of at most
-    window_frames + 1 frames are taken from the end, so each block subtracts
-    frames that are still cumulative sums."""
+    the last axis, formed in place and returned, as the kernel forms them:
+    each frame's running sum less the one window_frames + 1 frames back. G is
+    summed cumulatively, then blocks of at most window_frames + 1 frames are
+    taken from the end, so each block subtracts frames that are still
+    cumulative sums."""
     np.cumsum(G, axis=-1, out=G)
     n = G.shape[-1]
     span = window_frames + 1
@@ -298,8 +298,8 @@ def numpy_windowed_sums(G, window_frames):
 
 def numpy_residual(h, xc, y):
     """y minus the prediction sum_k conj(h_k) x_k, from the conjugated delay
-    stack xc [taps, unit...], as numpy passes: what the kernel's apply_taps
-    makes. Zero-filter units pass y through untouched, bit for bit."""
+    stack xc [taps, unit...], as numpy passes: what the kernel makes.
+    Zero-filter units pass y through untouched, bit for bit."""
     # conj(sum h_k conj(x_k)) is sum conj(h_k) x_k, bit for bit
     prediction = np.multiply(h, xc).sum(axis=0)
     res = y - np.conjugate(prediction, out=prediction)

@@ -2,14 +2,17 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import random_spectrogram
 
-from refaec import _factor
+from refaec import StftConfig, WienerConfig, _factor, wstws_cancel
+from refaec.wiener import stws_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,15 +37,15 @@ def logged(argv, **kwargs):
 subprocess.run = logged
 factor_solve = _factor.load().factor_solve
 g = np.array([[4], [1 + 1j], [1], [3], [2j]], dtype=complex)
-h = np.empty((2, 1), dtype=complex)
-factor_solve(g, 0.0, h, np.empty((2, 1)), np.empty(1, dtype=bool), 2, 1)
+h = np.empty((1, 2), dtype=complex)
+factor_solve(g, 0.0, h, np.empty(1, dtype=bool), 2, 1)
 try:
     os.waitpid(-1, os.WNOHANG)
     children = True
 except ChildProcessError:
     children = False
 print(json.dumps({
-    "h": [[z.real, z.imag] for z in h[:, 0]],
+    "h": [[z.real, z.imag] for z in h[0]],
     "compiles": [a for a in commands if "-###" not in a],
     "children": children,
 }))
@@ -99,6 +102,34 @@ def test_an_unwritable_cache_builds_in_a_temporary_directory(tmp_path, monkeypat
     factor_solve = _factor.load().factor_solve
     g = np.array([[4.0], [2.0]], dtype=complex)  # A = 4 (its root 2), b = 2
     h = np.empty((1, 1), dtype=complex)
-    factor_solve(g, 0.0, h, np.empty((1, 1)), np.empty(1, dtype=bool), 1, 1)
+    factor_solve(g, 0.0, h, np.empty(1, dtype=bool), 1, 1)
     assert h[0, 0] == 0.5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def _outputs(cfg, Y, X):
+    residual, bank = wstws_cancel(Y, X, cfg)
+    return residual.data, bank.taps, bank.degenerate
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the baseline named is x86's")
+def test_an_unoptimised_baseline_build_gives_the_same_bits(rng, tmp_path, monkeypatch):
+    # no fused multiply-add instructions, so fma() runs in software, and no
+    # optimisation: the source, not the compiler, fixes the bits. A silent
+    # bin of X is flagged.
+    stft = StftConfig(window_len=28, hop=14)  # 15 bins
+    Y, X = (random_spectrogram(rng, 120, stft) for _ in range(2))
+    X.data[:, 4] = 0.0
+    weighted = WienerConfig(taps=12, window_frames=50)
+    cached = [_outputs(cfg, Y, X) for cfg in (weighted, stws_config(weighted))]
+    monkeypatch.setattr(_factor, "FLAGS", ("-O0", "-march=x86-64", "-ffp-contract=off",
+                                           "-fPIC", "-shared"))
+    monkeypatch.setattr(_factor, "CACHE_DIR", tmp_path)
+    baseline = _factor.load()
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+    monkeypatch.setattr(_factor, "kernel", lambda: baseline)
+    for cfg, expected in zip((weighted, stws_config(weighted)), cached):
+        got = _outputs(cfg, Y, X)
+        assert got[2][:, 4].all()
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()

@@ -33,12 +33,11 @@ def test_tool_imports_without_running(path, monkeypatch):
 
 
 def test_solver_phases_times_every_phase(monkeypatch):
-    # the tool swaps module globals of wiener for timers, so a phase that the
-    # solver reaches other than through those globals would go untimed
+    # the tool swaps lambda_weights and the kernel's entry for timers, so a
+    # phase that the solver reaches other than through them would go untimed
     tool = _load(TOOLS_DIR / "solver_phases.py", monkeypatch)
     spent = {name: [] for name in tool.PHASES}
-    for name, fn in tool.PHASES.items():
-        monkeypatch.setattr(tool.wiener, fn.__name__, tool._timed(fn, spent[name]))
+    tool.install(spent, monkeypatch.setattr)
     stft = StftConfig(window_len=8, hop=4)
     rng = np.random.default_rng(0)
     Y, X = (Spectrogram(rng.standard_normal((30, 2 * stft.n_bins)).view(complex), stft)

@@ -15,7 +15,7 @@ from helpers import (
 )
 
 from refaec import Spectrogram, StftConfig, WienerConfig, wstws_cancel
-from refaec import wiener
+from refaec import _factor, wiener
 from refaec.wiener import lambda_weights, stws_config
 
 
@@ -183,32 +183,23 @@ def test_causality_bit_identical_prefix(rng):
     assert np.array_equal(bank_a.taps[:t_perturb], bank_b.taps[:t_perturb])
 
 
-def _record_build_sums(monkeypatch):
-    """Returns the ids of the threads that build window sums (one call per
-    chunk)."""
-    real = wiener._build_sums
-    threads = []
+def _record_kernel_calls(monkeypatch):
+    """Returns the (thread id, bin count) of each solve_bins call."""
+    calls = []
+    kernel = _factor.kernel()
 
     def recorded(*args):
-        threads.append(threading.get_ident())
-        return real(*args)
+        calls.append((threading.get_ident(), args[9]))
+        return kernel.solve_bins(*args)
 
-    monkeypatch.setattr(wiener, "_build_sums", recorded)
-    return threads
-
-
-def _split_work(monkeypatch, chunk_bytes, workers):
-    """Set the chunk budget and the worker count; returns the ids of the
-    threads that build window sums."""
-    monkeypatch.setattr(wiener, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(wiener, "_n_workers", lambda: workers)
-    return _record_build_sums(monkeypatch)
+    monkeypatch.setattr(_factor, "kernel", lambda: kernel._replace(solve_bins=recorded))
+    return calls
 
 
 def _zero_band_no_load(Y, X, cfg):
     # all-zero bins are flagged by the trace test; every other bin has a
     # non-positive pivot at its first frames
-    X.data[:, 40:60] = 0.0
+    X.data[:, 5:9] = 0.0
     return replace(cfg, diag_load=0.0)
 
 
@@ -222,42 +213,40 @@ def _zero_band_no_load(Y, X, cfg):
     ids=["weighted", "stws", "zero_band_no_load"],
 )
 def test_outputs_independent_of_chunks_and_workers(rng, monkeypatch, variant):
-    Y = random_spectrogram(rng, 40)
-    X = random_spectrogram(rng, 40)
+    # each worker solves one even share of the bins in one kernel call
+    stft = StftConfig(window_len=28, hop=14)  # 15 bins
+    Y = random_spectrogram(rng, 70, stft)
+    X = random_spectrogram(rng, 70, stft)
     cfg = variant(Y, X, WienerConfig(taps=3, window_frames=8))
 
-    with monkeypatch.context() as m:
-        threads = _split_work(m, 1 << 62, 1)
-        res_a, bank_a = wstws_cancel(Y, X, cfg)
-        assert len(threads) == 1
-    # one-bin chunks on 4 workers
-    with monkeypatch.context() as m:
-        threads = _split_work(m, 1, 4)
-        res_b, bank_b = wstws_cancel(Y, X, cfg)
-        assert len(threads) == Y.n_bins
-        assert len(set(threads)) > 1
-    # uneven chunks on 3 workers: 16 chunks of 10 bins and one of 1
-    bin_bytes = 16 * (cfg.taps * (cfg.taps + 3) // 2) * Y.n_frames
-    with monkeypatch.context() as m:
-        threads = _split_work(m, 10 * bin_bytes + bin_bytes // 2, 3)
-        res_c, bank_c = wstws_cancel(Y, X, cfg)
-        assert len(threads) == 17
-        assert len(set(threads)) > 1
+    outputs = []
+    # 3 and 4 workers split 15 bins 5/5/5 and 3/4/4/4; 20 workers take one
+    # bin each, and no worker gets none
+    for workers, shares in ((1, [15]), (3, [5, 5, 5]), (4, [3, 4, 4, 4]), (20, [1] * 15)):
+        with monkeypatch.context() as m:
+            m.setattr(wiener, "_n_workers", lambda: workers)
+            calls = _record_kernel_calls(m)
+            outputs.append(wstws_cancel(Y, X, cfg))
+            assert sorted(bins for _, bins in calls) == shares
+            # the calling thread makes one call, and the pool's threads the rest
+            assert [thread for thread, _ in calls].count(threading.get_ident()) == 1
 
-    # the taps are solved on first read, on a plan of the read's own: here the
-    # whole band on one worker, not the call's one-bin chunks on 4
+    # the taps are solved on first read, on a split of the read's own: here
+    # the whole band on one worker, not the call's one-bin shares on 20
     with monkeypatch.context() as m:
-        threads = _split_work(m, 1 << 62, 1)
-        taps_b = bank_b.taps
-        assert len(threads) == 1
-    assert taps_b.shape == (Y.n_frames, Y.n_bins, cfg.taps)
-    for res, bank in ((res_b, bank_b), (res_c, bank_c)):
+        m.setattr(wiener, "_n_workers", lambda: 1)
+        calls = _record_kernel_calls(m)
+        taps = outputs[-1][1].taps
+        assert len(calls) == 1
+    assert taps.shape == (Y.n_frames, Y.n_bins, cfg.taps)
+    res_a, bank_a = outputs[0]
+    for res, bank in outputs[1:]:
         assert np.array_equal(res_a.data, res.data)
         assert np.array_equal(bank_a.taps, bank.taps)
         assert np.array_equal(bank_a.degenerate, bank.degenerate)
     if cfg.diag_load == 0.0:
-        assert bank_b.degenerate[:, 40:60].all()
-        assert bank_b.degenerate[:, :40].any() and not bank_b.degenerate[:, :40].all()
+        assert bank_a.degenerate[:, 5:9].all()
+        assert bank_a.degenerate[:, :5].any() and not bank_a.degenerate[:, :5].all()
 
 
 def test_weights_are_worked_out_once_per_call_on_the_calling_thread(rng, monkeypatch):
@@ -272,10 +261,10 @@ def test_weights_are_worked_out_once_per_call_on_the_calling_thread(rng, monkeyp
         return real(*args)
 
     monkeypatch.setattr(wiener, "lambda_weights", recorded)
-    # one-bin chunks on 2 workers
-    chunk_threads = _split_work(monkeypatch, 1, 2)
+    monkeypatch.setattr(wiener, "_n_workers", lambda: 2)
+    calls = _record_kernel_calls(monkeypatch)
     wstws_cancel(Y, X, cfg)
-    assert len(chunk_threads) == Y.n_bins and threading.get_ident() not in chunk_threads
+    assert len(calls) == 2 and calls[0][0] != calls[1][0]
     assert weight_threads == [threading.get_ident()]
     weight_threads.clear()
     wstws_cancel(Y, X, stws_config(cfg))
@@ -305,35 +294,6 @@ def test_windowed_sums_are_sliding_window_sums(rng, n_frames, window):
     assert np.array_equal(out[..., : window + 1], np.cumsum(G, axis=-1)[..., : window + 1])
 
 
-# bins per chunk on 161 bins and 2 CPUs
-@pytest.mark.parametrize(
-    "taps, n_frames, bins",
-    [
-        (1, 249, 81),
-        (1, 599, 81),
-        (6, 599, 12),
-        (8, 249, 17),
-        (20, 99, 8),
-        (20, 599, 1),
-        (20, 6000, 1),
-    ],
-)
-def test_chunk_plan(taps, n_frames, bins):
-    slices = wiener._chunk_slices(taps, n_frames, 161, 2)
-    sizes = [s.stop - s.start for s in slices]
-    assert sizes[0] == bins and max(sizes) == bins and min(sizes) > 0
-    # the slices tile 0 ... n_bins in order
-    assert [s.start for s in slices] + [161] == [0] + [s.stop for s in slices]
-    # no chunk takes more than the budget, unless one bin alone does
-    bin_bytes = 16 * (taps * (taps + 3) // 2) * n_frames
-    assert bins * bin_bytes <= wiener._CHUNK_BYTES or bins == 1
-    # two or more workers always get two or more chunks, down to the
-    # smallest grid's 2 bins, so _solve needs no one-chunk case
-    for workers in (2, 3, 4):
-        for n_bins in (2, 3, 5, 161):
-            assert len(wiener._chunk_slices(taps, n_frames, n_bins, workers)) >= 2
-
-
 @pytest.mark.parametrize(
     "sl", [pytest.param(slice(79, 83), id="bins_79_82"), pytest.param(slice(None), id="all_bins")]
 )
@@ -361,12 +321,18 @@ def test_chunk_stack_matches_delay_stack(rng, sl):
     assert np.all(xa_short[1, :, 0] == 0) and np.all(xa_short[2:taps] == 0)
 
 
-def test_causality_prefix_with_split_chunks(rng, monkeypatch):
-    threads = _split_work(monkeypatch, 1, 3)
-    test_causality_bit_identical_prefix(rng)
-    # two calls, and a second solve for each bank's taps
-    assert len(threads) == 4 * StftConfig().n_bins
-    assert len(set(threads)) > 1
+def test_inputs_in_fortran_order_give_the_same_bits(rng):
+    # the kernel writes the residual and flags into [frame, bin] arrays in C
+    # order, whatever the order of the caller's spectrograms
+    Y = random_spectrogram(rng, 50)
+    X = random_spectrogram(rng, 50)
+    cfg = WienerConfig(taps=3, window_frames=8)
+    res, bank = wstws_cancel(Y, X, cfg)
+    fortran = [S.like(np.asfortranarray(S.data)) for S in (Y, X)]
+    res_f, bank_f = wstws_cancel(*fortran, cfg)
+    assert np.array_equal(res.data, res_f.data)
+    assert np.array_equal(bank.degenerate, bank_f.degenerate)
+    assert np.array_equal(bank.taps, bank_f.taps)
 
 
 # one frame: X.data.T is already contiguous, so the call must copy it
@@ -386,12 +352,12 @@ def test_taps_are_solved_once(rng, monkeypatch):
     Y = random_spectrogram(rng, 20)
     X = random_spectrogram(rng, 20)
     _, bank = wstws_cancel(Y, X, WienerConfig(taps=2, window_frames=4))
-    threads = _record_build_sums(monkeypatch)
+    calls = _record_kernel_calls(monkeypatch)
     first = bank.taps
-    calls = len(threads)
-    assert calls > 0
+    n_calls = len(calls)
+    assert n_calls > 0
     assert bank.taps is first
-    assert len(threads) == calls
+    assert len(calls) == n_calls
 
 
 def test_call_builds_no_tap_tensor(rng, monkeypatch):
@@ -407,6 +373,40 @@ def test_call_builds_no_tap_tensor(rng, monkeypatch):
         tracemalloc.stop()
     assert peak < 24e6
     assert bank.taps.shape == (599, Y.n_bins, 20)
+
+
+def test_solver_memory_is_set_by_the_window_not_the_stream(rng, monkeypatch):
+    # 60 s of 15 bins: one bin's window sums over every frame would be 22 MB
+    # at 20 taps. What is left is the call's [bin, frame] arrays, about 1.4 MB
+    # each: the copies of X and Y, the weights and their intermediates, and
+    # the residual. (tracemalloc sees numpy's arrays, not the kernel's own
+    # scratch, a tile and a ring of window + 1 running sums per entry.)
+    monkeypatch.setattr(wiener, "_n_workers", lambda: 1)
+    stft = StftConfig(window_len=28, hop=14)  # 15 bins
+    Y = random_spectrogram(rng, 6000, stft)
+    X = random_spectrogram(rng, 6000, stft)
+    wstws_cancel(Y, X, WienerConfig(taps=2))  # warm-up: the kernel's first load
+    tracemalloc.start()
+    try:
+        wstws_cancel(Y, X, WienerConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_a_window_longer_than_the_stream_is_the_whole_stream(rng, weighted):
+    # the kernel's ring holds window + 1 running sums, or one per frame where
+    # the stream is shorter; the weights' peak filter spans the stream
+    Y = random_spectrogram(rng, 30)
+    X = random_spectrogram(rng, 30)
+    cfg = WienerConfig(taps=4, weighted=weighted)
+    res, bank = wstws_cancel(Y, X, replace(cfg, window_frames=10**9))
+    whole, whole_bank = wstws_cancel(Y, X, replace(cfg, window_frames=Y.n_frames - 1))
+    assert np.array_equal(res.data, whole.data)
+    assert np.array_equal(bank.taps, whole_bank.taps)
+    assert np.array_equal(bank.degenerate, whole_bank.degenerate)
 
 
 def test_weighted_bank_holds_no_more_than_unweighted(rng, monkeypatch):

@@ -5,32 +5,31 @@ Usage: python3 tools/solver_phases.py
 The library is imported from the src/ directory of the checkout that holds
 this script. wiener.wstws_cancel runs on random 161-bin spectrograms at three
 operating points (taps / window frames / frames: the default 20 / 200 / 599,
-the echo study's 8 / 80 / 249 and the desk's 6 / 60 / 599) with each function
-in PHASES wrapped in a timer, first on one thread (wiener._n_workers set to
-return 1), then on its own pool of one thread per CPU. Each line gives the
-call's chunk count and the median over ROUNDS calls, in ms, of each phase's
-time summed over its calls and threads, and of the wall time:
+the echo study's 8 / 80 / 249 and the desk's 6 / 60 / 599) with each phase
+wrapped in a timer, first on one thread (wiener._n_workers set to return 1),
+then on one thread per CPU. Each line gives the call's kernel calls, its
+minor page faults (getrusage, the whole process) and the median over ROUNDS
+calls, in ms, of each phase's time summed over its calls and threads, and of
+the wall time:
 
 - weights: the call's lambda weights, one call per wstws_cancel on the
-  calling thread (lambda_weights);
-- build+sums: the per-frame products of the augmented buffer, read from X
-  and Y at each tap's delay, and their running and sliding sums along frames
-  (_build_sums, the kernel's window_sums);
-- factor+solve: the load, the Cholesky and substitutions and the degenerate
-  flags (_factor_solve, the kernel's factor_solve);
-- predict: the prediction and the residual (_apply_taps, the kernel's
-  apply_taps).
+  calling thread (wiener.lambda_weights);
+- solve: the kernel's solve_bins, one call per worker, each over an even
+  share of the bins: the per-frame products, read from X and Y at each tap's
+  delay, their window sums, the load, the Cholesky and substitutions, the
+  degenerate flags and the residual, a tile of frames at a time.
 
-The kernel of _factor.c is loaded before the first timed call. On one
-thread, the wall time minus the phases is the call's other work: the
-transposes of X and Y, the weights' reciprocal or ones and the copies of each
-chunk's residual and degenerate flags (the call builds no taps, and the tool does
-not read them). On the pool, a phase's time above its one-thread figure is
+The kernel of _factor.c is loaded before the first timed call, and each
+operating point's first call is not counted. On one thread, the wall time
+minus the phases is the call's other work: the transposes of X and Y and the
+weights' reciprocal or ones (the call builds no taps, and the tool does not
+read them). On more threads, a phase's time above its one-thread figure is
 time its threads lost to each other.
 """
 
 from __future__ import annotations
 
+import resource
 import statistics
 import sys
 import time
@@ -41,17 +40,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from refaec import Spectrogram, StftConfig, WienerConfig, wiener  # noqa: E402
+from refaec import Spectrogram, StftConfig, WienerConfig, _factor, wiener  # noqa: E402
 
 OPERATING_POINTS = ((20, 200, 599), (8, 80, 249), (6, 60, 599))
 ROUNDS = 7
-# read at import, so renaming a phase function breaks the import
-PHASES = {
-    "weights": wiener.lambda_weights,
-    "build+sums": wiener._build_sums,
-    "factor+solve": wiener._factor_solve,
-    "predict": wiener._apply_taps,
-}
+PHASES = ("weights", "solve")
 
 
 def _timed(fn, spent: list[float]):
@@ -64,27 +57,38 @@ def _timed(fn, spent: list[float]):
     return timed
 
 
+def install(spent: dict, patch=setattr) -> None:
+    """Wrap each phase in a timer that appends its seconds to spent[phase];
+    patch sets the module attributes (a test passes monkeypatch.setattr)."""
+    patch(wiener, "lambda_weights", _timed(wiener.lambda_weights, spent["weights"]))
+    kernel = _factor.kernel()
+    timed = kernel._replace(solve_bins=_timed(kernel.solve_bins, spent["solve"]))
+    patch(_factor, "kernel", lambda: timed)
+
+
 def _call(Y: Spectrogram, X: Spectrogram, cfg: WienerConfig, spent) -> list[float]:
-    """The chunk count, each phase's seconds summed over its calls, and the
-    wall time of one wstws_cancel call; spent collects the phase timers."""
+    """The kernel calls, the minor faults, each phase's seconds summed over its
+    calls and the wall time of one wstws_cancel call; spent collects the phase
+    timers."""
     for times in spent.values():
         times.clear()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     wiener.wstws_cancel(Y, X, cfg)
     wall = time.perf_counter() - t0
-    return [len(spent["build+sums"])] + [sum(spent[name]) for name in PHASES] + [wall]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return [len(spent["solve"]), faults] + [sum(spent[name]) for name in PHASES] + [wall]
 
 
 def main() -> None:
     spent = {name: [] for name in PHASES}
-    for name, fn in PHASES.items():
-        setattr(wiener, fn.__name__, _timed(fn, spent[name]))
+    install(spent)
     workers = wiener._n_workers()
     modes = [(1, lambda: 1)] + ([(workers, wiener._n_workers)] if workers > 1 else [])
     stft = StftConfig()
-    print(f"median ms of {ROUNDS} calls over {stft.n_bins} bins; pool of {workers} thread(s)")
-    print(f"{'taps/window/frames':>18}  {'threads':>7}  {'chunks':>6}  "
-          + "  ".join(f"{c:>12}" for c in [*PHASES, "wall"]))
+    print(f"median ms of {ROUNDS} calls over {stft.n_bins} bins; {workers} thread(s)")
+    print(f"{'taps/window/frames':>18}  {'threads':>7}  {'calls':>5}  {'faults':>6}  "
+          + "  ".join(f"{c:>8}" for c in [*PHASES, "wall"]))
     rng = np.random.default_rng(0)
     for taps, window, n_frames in OPERATING_POINTS:
         cfg = WienerConfig(taps=taps, window_frames=window)
@@ -94,9 +98,10 @@ def main() -> None:
             wiener._n_workers = n_workers
             _call(Y, X, cfg, spent)  # warm-up
             calls = [_call(Y, X, cfg, spent) for _ in range(ROUNDS)]
-            chunks, *ms = [statistics.median(col) for col in zip(*calls)]
-            print(f"{f'{taps}/{window}/{n_frames}':>18}  {threads:>7}  {chunks:>6}  "
-                  + "  ".join(f"{1e3 * m:>12.1f}" for m in ms))
+            n_calls, faults, *ms = [statistics.median(col) for col in zip(*calls)]
+            print(f"{f'{taps}/{window}/{n_frames}':>18}  {threads:>7}  {n_calls:>5.0f}  "
+                  f"{faults:>6.0f}  "
+                  + "  ".join(f"{1e3 * m:>8.1f}" for m in ms))
 
 
 if __name__ == "__main__":
